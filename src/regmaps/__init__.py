@@ -5,7 +5,7 @@ map invariants and operations on admissible triples (``maps``), small
 graph constructors and exact isomorphism (``graphs``), the canonical
 wreath-product census of nonorientable Hamming-graph embeddings
 (``wreath``), and the projective matrix construction over the 9-element
-field (``pgl29``).
+field, carried on the 10 points of PG(1,9) (``pgl29``).
 """
 
 from .graphs import Graph, complete, hamming, is_isomorphic
@@ -41,7 +41,7 @@ from .perms import (
     is_involution,
     subgroup_index,
 )
-from .pgl29 import GF9, Mat2, pgl_closure, pgl_triple, verify_construction
+from .pgl29 import pgl_closure, pgl_triple, verify_construction
 from .wreath import (
     BudgetExceeded,
     CanonicalTripleParams,

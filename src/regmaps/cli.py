@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Optional
 
 from .maps import (
-    DEFAULT_CAP,
+    DEFAULT_BUDGET,
     InvalidTripleError,
     builtin_triple_names,
     invariants,
@@ -28,7 +28,6 @@ from .maps import (
 from .pgl29 import verify_construction
 from .wreath import (
     BudgetExceeded,
-    DEFAULT_BUDGET,
     DEFAULT_WITNESS_LEN,
     classify,
     records_to_json,
@@ -41,14 +40,15 @@ EXIT_BAD_INPUT = 2
 EXIT_BUDGET = 3
 
 
-def _default_budget() -> int:
-    env = os.environ.get("REGMAP_BUDGET")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise SystemExit(EXIT_BAD_INPUT)
-    return DEFAULT_BUDGET
+def _positive_int(text: str) -> int:
+    """argparse type for budgets and worker counts; a bad value exits 2."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
 
 
 def _emit(text: str, output: Optional[str]) -> None:
@@ -134,7 +134,7 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_pgl29(args) -> int:
-    report = verify_construction()
+    report = verify_construction(classify_records=classify(2, 6, budget=args.budget))
     if args.format == "json":
         payload = {
             "ok": report.ok,
@@ -207,14 +207,16 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "table"), default="table")
         p.add_argument("--output", metavar="PATH", default=None,
                        help="write to a file instead of standard output")
-        p.add_argument("--budget", type=int, default=_default_budget(),
+        # a string default (the environment's) goes through the type check too
+        p.add_argument("--budget", type=_positive_int,
+                       default=os.environ.get("REGMAP_BUDGET") or DEFAULT_BUDGET,
                        help="cap on group order and candidate count (env REGMAP_BUDGET)")
 
     p = sub.add_parser("classify", help="enumerate one census cell")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--max-witness-len", type=int, default=DEFAULT_WITNESS_LEN)
-    p.add_argument("--parallel", type=int, default=1, help="worker processes")
+    p.add_argument("--parallel", type=_positive_int, default=1, help="worker processes")
     common(p)
     p.set_defaults(func=cmd_classify)
 
@@ -233,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-d", type=int, default=3)
     p.add_argument("--max-n", type=int, default=7)
     p.add_argument("--max-witness-len", type=int, default=DEFAULT_WITNESS_LEN)
-    p.add_argument("--parallel", type=int, default=1, help="worker processes")
+    p.add_argument("--parallel", type=_positive_int, default=1, help="worker processes")
     common(p)
     p.set_defaults(func=cmd_verify_theorem)
 

@@ -9,7 +9,6 @@ machinery relies on, and makes "equal as labelled graphs" meaningful.
 
 from __future__ import annotations
 
-import json
 from typing import Iterable, Optional
 
 __all__ = [
@@ -17,7 +16,6 @@ __all__ = [
     "complete",
     "hamming",
     "is_isomorphic",
-    "to_adjacency_json",
 ]
 
 MAX_VERTICES = 10**6
@@ -173,11 +171,3 @@ def is_isomorphic(g1: Graph, g2: Graph) -> Optional[list[int]]:
         if mapping[b] not in g2.adj[mapping[a]]:
             raise AssertionError("isomorphism witness failed re-verification")
     return mapping
-
-
-def to_adjacency_json(g: Graph) -> str:
-    """Adjacency-list JSON with sorted neighbour lists (debugging aid)."""
-    return json.dumps(
-        {"n": g.n, "adj": [sorted(g.adj[v]) for v in range(g.n)]},
-        separators=(",", ":"),
-    )

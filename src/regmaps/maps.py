@@ -35,7 +35,7 @@ from .perms import (
 __all__ = [
     "AdmissibleTriple",
     "CosetGraphError",
-    "DEFAULT_CAP",
+    "DEFAULT_BUDGET",
     "InvalidTripleError",
     "MapInvariants",
     "ValidationReport",
@@ -52,7 +52,7 @@ __all__ = [
     "validate_admissible",
 ]
 
-DEFAULT_CAP = 100_000
+DEFAULT_BUDGET = 100_000  # default cap on group order and candidate count
 
 
 class InvalidTripleError(Exception):
@@ -94,7 +94,7 @@ class AdmissibleTriple:
         """The orientation-reversing edge involution lam*tau."""
         return self.lam * self.tau
 
-    def group(self, cap: int = DEFAULT_CAP) -> GroupClosure:
+    def group(self, cap: int = DEFAULT_BUDGET) -> GroupClosure:
         """Closure of the three generators, cached after the first success."""
         if self._group is not None:
             if self._group.order > cap:
@@ -162,7 +162,7 @@ def _subgroup_order(gens: Sequence[Perm], cap: int) -> Optional[int]:
         return None
 
 
-def validate_admissible(t: AdmissibleTriple, cap: int = DEFAULT_CAP) -> ValidationReport:
+def validate_admissible(t: AdmissibleTriple, cap: int = DEFAULT_BUDGET) -> ValidationReport:
     """Check the regular-map preconditions one by one.
 
     A cap overflow of the full group shows up as a failed check rather
@@ -206,7 +206,7 @@ def validate_admissible(t: AdmissibleTriple, cap: int = DEFAULT_CAP) -> Validati
     return ValidationReport(all(ok for _, ok in result), group_order, result)
 
 
-def is_orientable(t: AdmissibleTriple, cap: int = DEFAULT_CAP) -> bool:
+def is_orientable(t: AdmissibleTriple, cap: int = DEFAULT_BUDGET) -> bool:
     """Orientable iff <R, L> has index 2 in the full group (index 1 means
     the rotation subgroup already reverses orientation somewhere)."""
     group = t.group(cap)
@@ -217,7 +217,7 @@ def is_orientable(t: AdmissibleTriple, cap: int = DEFAULT_CAP) -> bool:
     return index == 2
 
 
-def invariants(t: AdmissibleTriple, cap: int = DEFAULT_CAP) -> MapInvariants:
+def invariants(t: AdmissibleTriple, cap: int = DEFAULT_BUDGET) -> MapInvariants:
     report = validate_admissible(t, cap)
     if not report.ok:
         raise InvalidTripleError(f"triple failed validation: {report.failed()}")
@@ -332,7 +332,7 @@ def _orbit_coloring(matrix: np.ndarray, index: dict, gens: Sequence[np.ndarray])
     return colors
 
 
-def coset_graph(t: AdmissibleTriple, cap: int = DEFAULT_CAP) -> Graph:
+def coset_graph(t: AdmissibleTriple, cap: int = DEFAULT_BUDGET) -> Graph:
     """Underlying graph from cosets: vertices are cosets of <rho,tau>,
     joined when some coset of <lam,tau> meets both.
 

@@ -1,17 +1,22 @@
-"""Arithmetic in the 9-element field and the projective matrix group of
-2x2 invertible matrices over it, realized as a permutation group.
+"""The 9-element field and the projective group PGL(2,9) on the 10 points
+of the projective line PG(1,9).
 
 The point of the module is the direct construction of the two
 nonorientable regular embeddings of H(2,6): three explicit matrices
-generate the projective group of order 720, and their right regular
-action yields an admissible triple whose coset graph is H(2,6).
+generate the projective group of order 720, which acts faithfully on the
+10 points of PG(1,9); the three point permutations form an admissible
+triple whose coset graph is H(2,6).
+
+Field elements are the ints 0..8, x = a + 3b standing for a + b*i with
+a, b mod 3 and i^2 = -1.  A matrix is the row-major 4-tuple (m00, m01,
+m10, m11).  Matrices act on row vectors, v -> vM, so the point
+permutations compose like the matrices: mat_perm(A) * mat_perm(B) ==
+mat_perm(mat_mul(A, B)) under the apply-left-first convention of perms.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Optional, Sequence
 
 from .graphs import hamming, is_isomorphic
 from .maps import (
@@ -21,207 +26,123 @@ from .maps import (
     petrie_dual,
     validate_admissible,
 )
-from .perms import Perm, element_order
+from .perms import GroupClosure, Perm, closure, element_order
 
 __all__ = [
-    "GF9",
-    "Mat2",
-    "MatGroup",
     "VerificationReport",
     "gf9_add",
-    "gf9_elements",
     "gf9_inv",
     "gf9_mul",
+    "gf9_str",
+    "in_psl",
     "M_LAM",
     "M_RHO",
     "M_TAU",
-    "mat_closure",
     "mat_det",
     "mat_mul",
-    "mat_scale",
+    "mat_perm",
     "pgl_closure",
     "pgl_triple",
-    "proj_normalize",
-    "psl_members",
     "verify_construction",
 ]
 
+Mat = tuple[int, int, int, int]
 
-@dataclass(frozen=True)
-class GF9:
-    """a + b*i with coefficients mod 3 and i^2 = -1."""
-
-    a: int
-    b: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", self.a % 3)
-        object.__setattr__(self, "b", self.b % 3)
-
-    def __add__(self, other: "GF9") -> "GF9":
-        return GF9(self.a + other.a, self.b + other.b)
-
-    def __neg__(self) -> "GF9":
-        return GF9(-self.a, -self.b)
-
-    def __sub__(self, other: "GF9") -> "GF9":
-        return GF9(self.a - other.a, self.b - other.b)
-
-    def __mul__(self, other: "GF9") -> "GF9":
-        return GF9(
-            self.a * other.a - self.b * other.b,
-            self.a * other.b + self.b * other.a,
-        )
-
-    def __bool__(self) -> bool:
-        return (self.a, self.b) != (0, 0)
-
-    def inv(self) -> "GF9":
-        if not self:
-            raise ZeroDivisionError("inversion of zero in GF(9)")
-        # conjugate over the norm: (a+bi)(a-bi) = a^2 + b^2, a unit of GF(3)
-        norm = (self.a * self.a + self.b * self.b) % 3
-        scale = 1 if norm == 1 else 2
-        return GF9(self.a * scale, -self.b * scale)
-
-    def __repr__(self) -> str:
-        return f"GF9({self.a},{self.b})"
+PGL_ORDER = 720  # |PGL(2,9)| = (9^2 - 1)(9^2 - 9) / 8 bounds every closure here
 
 
-ZERO = GF9(0)
-ONE = GF9(1)
+def _add(x: int, y: int) -> int:
+    return (x + y) % 3 + 3 * ((x // 3 + y // 3) % 3)
 
 
-def gf9_elements() -> tuple[GF9, ...]:
-    return tuple(GF9(a, b) for a in range(3) for b in range(3))
+def _mul(x: int, y: int) -> int:
+    a, b, c, d = x % 3, x // 3, y % 3, y // 3
+    return (a * c - b * d) % 3 + 3 * ((a * d + b * c) % 3)
 
 
-def gf9_add(x: GF9, y: GF9) -> GF9:
-    return x + y
+_ADD = tuple(tuple(_add(x, y) for y in range(9)) for x in range(9))
+_MUL = tuple(tuple(_mul(x, y) for y in range(9)) for x in range(9))
+_INV = (None,) + tuple(_MUL[x].index(1) for x in range(1, 9))
+_SQUARES = frozenset(_MUL[x][x] for x in range(1, 9))
+_MINUS_ONE = 2
 
 
-def gf9_mul(x: GF9, y: GF9) -> GF9:
-    return x * y
+def gf9_add(x: int, y: int) -> int:
+    return _ADD[x][y]
 
 
-def gf9_inv(x: GF9) -> GF9:
-    return x.inv()
+def gf9_mul(x: int, y: int) -> int:
+    return _MUL[x][y]
 
 
-def _squares() -> frozenset[GF9]:
-    return frozenset(x * x for x in gf9_elements() if x)
+def gf9_inv(x: int) -> int:
+    if not x:
+        raise ZeroDivisionError("inversion of zero in GF(9)")
+    return _INV[x]
 
 
-@dataclass(frozen=True)
-class Mat2:
-    """2x2 matrix over GF(9).  Projective identity is via proj_normalize."""
-
-    m00: GF9
-    m01: GF9
-    m10: GF9
-    m11: GF9
-
-    def entries(self) -> tuple[GF9, GF9, GF9, GF9]:
-        return (self.m00, self.m01, self.m10, self.m11)
-
-    def sort_key(self) -> tuple[int, ...]:
-        return tuple(c for e in self.entries() for c in (e.a, e.b))
+def gf9_str(x: int) -> str:
+    """``GF9(a,b)`` for a + b*i."""
+    return f"GF9({x % 3},{x // 3})"
 
 
-def mat_mul(p: Mat2, q: Mat2) -> Mat2:
-    return Mat2(
-        p.m00 * q.m00 + p.m01 * q.m10,
-        p.m00 * q.m01 + p.m01 * q.m11,
-        p.m10 * q.m00 + p.m11 * q.m10,
-        p.m10 * q.m01 + p.m11 * q.m11,
+def mat_mul(p: Mat, q: Mat) -> Mat:
+    a, b, c, d = p
+    e, f, g, h = q
+    return (
+        _ADD[_MUL[a][e]][_MUL[b][g]],
+        _ADD[_MUL[a][f]][_MUL[b][h]],
+        _ADD[_MUL[c][e]][_MUL[d][g]],
+        _ADD[_MUL[c][f]][_MUL[d][h]],
     )
 
 
-def mat_det(p: Mat2) -> GF9:
-    return p.m00 * p.m11 - p.m01 * p.m10
+def mat_det(p: Mat) -> int:
+    a, b, c, d = p
+    return _ADD[_MUL[a][d]][_MUL[_MINUS_ONE][_MUL[b][c]]]
 
 
-def mat_scale(p: Mat2, c: GF9) -> Mat2:
-    return Mat2(p.m00 * c, p.m01 * c, p.m10 * c, p.m11 * c)
+def in_psl(p: Mat) -> bool:
+    """Whether the image of p lies in the index-2 subgroup PSL(2,9): its
+    determinant is a nonzero square (scaling by c multiplies it by c^2)."""
+    return mat_det(p) in _SQUARES
 
 
-def proj_normalize(p: Mat2) -> Mat2:
-    """Scale so the first nonzero entry in row-major order is 1; two
-    matrices represent the same projective element iff the results match."""
-    for e in p.entries():
-        if e:
-            return mat_scale(p, e.inv())
-    raise ValueError("cannot normalize the zero matrix")
+# the points of PG(1,9): (x : 1) is point x for x in 0..8, (1 : 0) is point 9
+_POINTS = tuple((x, 1) for x in range(9)) + ((1, 0),)
 
 
-# the generating matrices: entries are reduced mod 3, so -1 appears as 2
-M_LAM = Mat2(GF9(-1), GF9(1), GF9(1), GF9(1))
-M_RHO = Mat2(GF9(0), GF9(1, 1), GF9(-1), GF9(0))
-M_TAU = Mat2(GF9(1), GF9(1), GF9(1), GF9(-1))
+def _point(x: int, y: int) -> int:
+    return _MUL[x][_INV[y]] if y else 9
 
 
-@dataclass(frozen=True)
-class MatGroup:
-    """Closure of projective matrix classes, canonically ordered."""
-
-    elements: tuple[Mat2, ...]
-    order: int
-    generators: tuple[Mat2, ...]
-
-    def __contains__(self, m: Mat2) -> bool:
-        return proj_normalize(m) in set(self.elements)
-
-    def __iter__(self):
-        return iter(self.elements)
+def mat_perm(p: Mat) -> Perm:
+    """The permutation v -> vp of the 10 points of PG(1,9)."""
+    if not mat_det(p):
+        raise ValueError(f"singular matrix {p}")
+    a, b, c, d = p
+    return Perm([
+        _point(_ADD[_MUL[x][a]][_MUL[y][c]], _ADD[_MUL[x][b]][_MUL[y][d]])
+        for x, y in _POINTS
+    ])
 
 
-def mat_closure(generators: Sequence[Mat2], cap: int = 10_000) -> MatGroup:
-    """Projective closure: products are normalized before dedup."""
-    gens = tuple(proj_normalize(g) for g in generators)
-    for g in gens:
-        if not mat_det(g):
-            raise ValueError(f"singular generator {g}")
-    ident = Mat2(ONE, ZERO, ZERO, ONE)
-    seen = {ident}
-    queue = [ident]
-    while queue:
-        cur = queue.pop()
-        for g in gens:
-            nxt = proj_normalize(mat_mul(cur, g))
-            if nxt not in seen:
-                if len(seen) >= cap:
-                    raise ValueError(f"matrix closure exceeded cap {cap}")
-                seen.add(nxt)
-                queue.append(nxt)
-    elements = tuple(sorted(seen, key=Mat2.sort_key))
-    return MatGroup(elements, len(elements), gens)
-
-
-def pgl_closure() -> MatGroup:
-    """The full projective group generated by the three matrices; order 720."""
-    return mat_closure([M_LAM, M_RHO, M_TAU])
-
-
-def psl_members(group: MatGroup) -> tuple[Mat2, ...]:
-    """Classes whose determinant is a square: the index-2 simple subgroup."""
-    squares = _squares()
-    return tuple(m for m in group.elements if mat_det(m) in squares)
-
-
-def _regular_perm(group: MatGroup, index: dict, m: Mat2) -> Perm:
-    return Perm([index[proj_normalize(mat_mul(x, m))] for x in group.elements])
+# the generating matrices, with -1 written as 2 and 1+i as 4
+M_LAM: Mat = (2, 1, 1, 1)
+M_RHO: Mat = (0, 4, 2, 0)
+M_TAU: Mat = (1, 1, 1, 2)
 
 
 def pgl_triple() -> AdmissibleTriple:
-    """The three generators as permutations of the 720 group elements via
-    the right regular action (faithful), ready for the map engine."""
-    group = pgl_closure()
-    index = {m: i for i, m in enumerate(group.elements)}
-    return AdmissibleTriple(
-        _regular_perm(group, index, M_LAM),
-        _regular_perm(group, index, M_RHO),
-        _regular_perm(group, index, M_TAU),
-    )
+    """The three generators as permutations of the 10 points of PG(1,9)
+    (a faithful action), ready for the map engine."""
+    return AdmissibleTriple(mat_perm(M_LAM), mat_perm(M_RHO), mat_perm(M_TAU))
+
+
+def pgl_closure() -> GroupClosure:
+    """The full projective group generated by the three matrices; order 720."""
+    t = pgl_triple()
+    return closure([t.lam, t.rho, t.tau], cap=PGL_ORDER)
 
 
 @dataclass(frozen=True)
@@ -247,18 +168,14 @@ def verify_construction(classify_records=None) -> VerificationReport:
     def check(name: str, passed: bool, detail: str = "") -> None:
         checks.append((name, bool(passed), detail))
 
+    t = pgl_triple()
     group = pgl_closure()
     check("group_order_720", group.order == 720, f"order={group.order}")
-    dihedral = mat_closure([M_RHO, M_TAU])
+    dihedral = closure([t.rho, t.tau], cap=PGL_ORDER)
     check("rho_tau_dihedral_20", dihedral.order == 20, f"order={dihedral.order}")
-    check("det_lam_is_one", mat_det(M_LAM) == ONE, repr(mat_det(M_LAM)))
-    check(
-        "lam_in_index2_subgroup",
-        proj_normalize(M_LAM) in set(psl_members(group)),
-        "",
-    )
+    check("det_lam_is_one", mat_det(M_LAM) == 1, gf9_str(mat_det(M_LAM)))
+    check("lam_in_index2_subgroup", in_psl(M_LAM), "")
 
-    t = pgl_triple()
     orders = (
         element_order(t.lam * t.rho),
         element_order(t.rho * t.tau),

@@ -23,6 +23,7 @@ import numpy as np
 
 from .graphs import Graph, hamming, is_isomorphic
 from .maps import (
+    DEFAULT_BUDGET,
     AdmissibleTriple,
     MapInvariants,
     antipodal_cycle_triple,
@@ -51,7 +52,6 @@ __all__ = [
     "CanonicalTripleParams",
     "CellResult",
     "CellStats",
-    "DEFAULT_BUDGET",
     "FixedCellResult",
     "MapRecord",
     "TheoremReport",
@@ -78,7 +78,6 @@ __all__ = [
     "wreath_to_perm",
 ]
 
-DEFAULT_BUDGET = 100_000
 DEFAULT_WITNESS_LEN = 6
 
 

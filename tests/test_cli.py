@@ -108,3 +108,25 @@ def test_output_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert records_from_json(target.read_text())[0].n == 4
+
+
+def test_pgl29_verify_honours_budget(capsys):
+    code, _ = run(capsys, "pgl29", "--verify", "--budget", "5")
+    assert code == 3
+
+
+def test_bad_budget_env_exits_2_with_message(capsys, monkeypatch):
+    monkeypatch.setenv("REGMAP_BUDGET", "abc")
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "--d", "1", "--n", "4"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "'abc'" in err
+
+
+@pytest.mark.parametrize("flag", ["--budget", "--parallel"])
+def test_non_positive_budget_or_workers_exit_2(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "--d", "1", "--n", "4", flag, "0"])
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err

@@ -1,9 +1,8 @@
-import json
 import random
 
 import pytest
 
-from regmaps.graphs import Graph, complete, hamming, is_isomorphic, to_adjacency_json
+from regmaps.graphs import Graph, complete, hamming, is_isomorphic
 
 
 def test_graph_rejects_bad_edges():
@@ -86,10 +85,3 @@ def test_isomorphic_symmetric_negative():
     prism = Graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3), (1, 4), (2, 5)])
     assert is_isomorphic(k33, prism) is None
     assert is_isomorphic(prism, k33) is None
-
-
-def test_adjacency_json():
-    g = complete(3)
-    payload = json.loads(to_adjacency_json(g))
-    assert payload == {"n": 3, "adj": [[1, 2], [0, 2], [0, 1]]}
-    assert to_adjacency_json(g) == to_adjacency_json(complete(3))

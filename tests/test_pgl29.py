@@ -4,67 +4,102 @@ import pytest
 
 from regmaps.graphs import hamming, is_isomorphic
 from regmaps.maps import coset_graph, invariants, petrie_dual, validate_admissible
-from regmaps.perms import element_order, is_involution
+from regmaps.perms import closure, element_order, is_involution
 from regmaps.pgl29 import (
-    GF9,
     M_LAM,
     M_RHO,
     M_TAU,
-    Mat2,
     gf9_add,
-    gf9_elements,
     gf9_inv,
     gf9_mul,
-    mat_closure,
+    in_psl,
     mat_det,
     mat_mul,
-    mat_scale,
+    mat_perm,
     pgl_closure,
     pgl_triple,
-    proj_normalize,
-    psl_members,
     verify_construction,
 )
 
-I = GF9(0, 1)
-ONE = GF9(1)
-ZERO = GF9(0)
+# x = a + 3b stands for a + b*i
+ELEMS = range(9)
+I = 3
+ONE = 1
+ZERO = 0
+
+# every check the H(2,6) construction reports, in order, with its detail
+EXPECTED_CHECKS = (
+    ("group_order_720", True, "order=720"),
+    ("rho_tau_dihedral_20", True, "order=20"),
+    ("det_lam_is_one", True, "GF9(1,0)"),
+    ("lam_in_index2_subgroup", True, ""),
+    ("generator_word_orders_10_10_8", True, "orders=(10, 10, 8)"),
+    ("triple_validates", True, "order=720"),
+    ("type_10_10_8", True, "{10,10}_8"),
+    ("chi_minus_108", True, "chi=-108"),
+    ("genus_110", True, "genus=110"),
+    ("nonorientable", True, ""),
+    ("faces_36", True, "F=36"),
+    ("dual_type_8_10_10", True, "{8,10}_10"),
+    ("dual_chi_minus_99", True, "chi=-99"),
+    ("dual_genus_101", True, "genus=101"),
+    ("dual_nonorientable", True, ""),
+    ("dual_faces_45", True, "F=45"),
+    ("coset_graph_simple", True, ""),
+    ("coset_graph_36_vertices", True, "n=36"),
+    ("coset_graph_10_regular", True, ""),
+    ("coset_graph_isomorphic_h26", True, ""),
+    ("census_has_both_types", True, "census=[(8, 10, 10), (10, 10, 8)]"),
+    ("map_matches_census_record", True, ""),
+    ("dual_matches_census_record", True, ""),
+)
+
+
+def scale(m, c):
+    return tuple(gf9_mul(c, e) for e in m)
+
+
+def invertible_matrices():
+    return [m for m in itertools.product(ELEMS, repeat=4) if mat_det(m)]
 
 
 def test_field_has_nine_elements():
-    elems = gf9_elements()
-    assert len(set(elems)) == 9
+    # addition by y and multiplication by a nonzero y permute the nine ints
+    for y in ELEMS:
+        assert sorted(gf9_add(x, y) for x in ELEMS) == list(ELEMS)
+        if y:
+            assert sorted(gf9_mul(x, y) for x in ELEMS) == list(ELEMS)
 
 
 def test_field_axioms_exhaustive():
-    elems = gf9_elements()
-    for x, y in itertools.product(elems, repeat=2):
-        assert x + y == y + x
-        assert x * y == y * x
-    for x, y, z in itertools.product(elems, repeat=3):
-        assert (x + y) + z == x + (y + z)
-        assert (x * y) * z == x * (y * z)
-        assert x * (y + z) == x * y + x * z
+    add, mul = gf9_add, gf9_mul
+    for x, y in itertools.product(ELEMS, repeat=2):
+        assert add(x, y) == add(y, x)
+        assert mul(x, y) == mul(y, x)
+    for x, y, z in itertools.product(ELEMS, repeat=3):
+        assert add(add(x, y), z) == add(x, add(y, z))
+        assert mul(mul(x, y), z) == mul(x, mul(y, z))
+        assert mul(x, add(y, z)) == add(mul(x, y), mul(x, z))
 
 
 def test_field_examples():
-    assert I * I == GF9(-1)  # i^2 = -1
-    one_plus_i = GF9(1, 1)
-    assert one_plus_i * one_plus_i == GF9(0, 2)  # (1+i)^2 = 2i
-    assert gf9_inv(GF9(2)) == GF9(2)  # 2*2 = 4 = 1 mod 3
-    assert gf9_add(GF9(2), GF9(2)) == GF9(1)
-    assert gf9_mul(GF9(2), GF9(0, 2)) == GF9(0, 1)
+    assert gf9_mul(I, I) == 2  # i^2 = -1
+    one_plus_i = 1 + I
+    assert gf9_mul(one_plus_i, one_plus_i) == 2 * I  # (1+i)^2 = 2i
+    assert gf9_inv(2) == 2  # 2*2 = 4 = 1 mod 3
+    assert gf9_add(2, 2) == 1
+    assert gf9_mul(2, 2 * I) == I
 
 
 def test_multiplicative_group_order_eight():
-    for x in gf9_elements():
+    for x in ELEMS:
         if not x:
             continue
         acc = ONE
         for _ in range(8):
-            acc = acc * x
+            acc = gf9_mul(acc, x)
         assert acc == ONE
-        assert x * gf9_inv(x) == ONE
+        assert gf9_mul(x, gf9_inv(x)) == ONE
 
 
 def test_inverting_zero_raises():
@@ -74,53 +109,61 @@ def test_inverting_zero_raises():
 
 def test_paper_matrix_determinants():
     assert mat_det(M_LAM) == ONE
-    assert mat_det(M_RHO) == GF9(1, 1)
+    assert mat_det(M_RHO) == 1 + I
     assert mat_det(M_TAU) == ONE
 
 
-def test_proj_normalize_scalar_equivalence():
+def test_mat_perm_scalar_equivalence():
     for mat in (M_LAM, M_RHO, M_TAU):
-        for c in gf9_elements():
+        for c in ELEMS:
             if not c:
                 continue
-            assert proj_normalize(mat_scale(mat, c)) == proj_normalize(mat)
-    assert proj_normalize(proj_normalize(M_RHO)) == proj_normalize(M_RHO)
+            assert mat_perm(scale(mat, c)) == mat_perm(mat)
+
+
+def test_mat_perm_is_a_homomorphism():
+    mats = [M_LAM, M_RHO, M_TAU, mat_mul(M_LAM, M_RHO), mat_mul(M_RHO, M_TAU)]
+    for p, q in itertools.product(mats, repeat=2):
+        assert mat_perm(mat_mul(p, q)) == mat_perm(p) * mat_perm(q)
+
+
+def test_mat_perm_rejects_singular_matrix():
+    with pytest.raises(ValueError):
+        mat_perm((1, 1, 1, 1))
 
 
 def test_det_is_multiplicative():
     mats = [M_LAM, M_RHO, M_TAU, mat_mul(M_LAM, M_RHO)]
     for p, q in itertools.product(mats, repeat=2):
-        assert mat_det(mat_mul(p, q)) == mat_det(p) * mat_det(q)
+        assert mat_det(mat_mul(p, q)) == gf9_mul(mat_det(p), mat_det(q))
 
 
 def test_gl2_and_projective_class_counts():
     # brute force over all 6561 matrices
-    elems = gf9_elements()
-    invertible = [
-        Mat2(a, b, c, d)
-        for a, b, c, d in itertools.product(elems, repeat=4)
-        if mat_det(Mat2(a, b, c, d))
-    ]
+    invertible = invertible_matrices()
     assert len(invertible) == (9**2 - 1) * (9**2 - 9) == 5760
-    classes = {proj_normalize(m) for m in invertible}
+    classes = {mat_perm(m) for m in invertible}
     assert len(classes) == 5760 // 8 == 720
 
 
 def test_pgl_closure_order():
-    assert pgl_closure().order == 720
+    group = pgl_closure()
+    assert group.order == 720
+    assert group.degree == 10
+    assert pgl_triple().degree == 10
 
 
 def test_rho_tau_generate_dihedral_20():
-    assert mat_closure([M_RHO, M_TAU]).order == 20
+    t = pgl_triple()
+    assert closure([t.rho, t.tau], cap=720).order == 20
 
 
 def test_lam_lies_in_index_two_subgroup():
-    group = pgl_closure()
-    members = psl_members(group)
+    members = {mat_perm(m) for m in invertible_matrices() if in_psl(m)}
     assert len(members) == 360
-    assert proj_normalize(M_LAM) in set(members)
+    assert mat_perm(M_LAM) in members
     # the square-determinant classes really are closed
-    assert mat_closure(members, cap=720).order == 360
+    assert closure(members, cap=720).order == 360
 
 
 def test_triple_generator_orders():
@@ -168,3 +211,21 @@ def test_verify_construction_all_pass():
     names = [name for name, _, _ in report.checks]
     assert "group_order_720" in names
     assert "coset_graph_isomorphic_h26" in names
+
+
+def test_verify_construction_checks_are_pinned():
+    assert verify_construction().checks == EXPECTED_CHECKS
+
+
+def test_sympy_agrees_on_the_group():
+    pytest.importorskip("sympy")
+    from sympy.combinatorics import Permutation, PermutationGroup
+
+    t = pgl_triple()
+    lam, rho, tau = (Permutation(g.images.tolist()) for g in (t.lam, t.rho, t.tau))
+    group = PermutationGroup([lam, rho, tau])
+    assert group.order() == 720
+    assert PermutationGroup([rho, tau]).order() == 20
+    derived = group.derived_subgroup()
+    assert derived.order() == 360
+    assert derived.contains(lam)
