@@ -1,11 +1,12 @@
 """Regular maps as involution triples in finite permutation groups.
 
-Core pieces: permutation algebra with brute-force closures (``perms``),
-map invariants and operations on admissible triples (``maps``), small
-graph constructors and exact isomorphism (``graphs``), the canonical
-wreath-product census of nonorientable Hamming-graph embeddings
-(``wreath``), and the projective matrix construction over the 9-element
-field, carried on the 10 points of PG(1,9) (``pgl29``).
+Core pieces: permutation algebra with brute-force closures and group
+orders from Schreier generators (``perms``), map invariants and
+operations on admissible triples (``maps``), small graph constructors
+and exact isomorphism (``graphs``), the canonical wreath-product census
+of nonorientable Hamming-graph embeddings (``wreath``), and the
+projective matrix construction over the 9-element field, carried on the
+10 points of PG(1,9) (``pgl29``).
 """
 
 from .graphs import Graph, complete, hamming, is_isomorphic

@@ -40,15 +40,23 @@ EXIT_BAD_INPUT = 2
 EXIT_BUDGET = 3
 
 
-def _positive_int(text: str) -> int:
-    """argparse type for budgets and worker counts; a bad value exits 2."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
+def _int_at_least(lower: int):
+    """argparse type for an integer option with a least value; a bad
+    value exits 2 before any work starts."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = lower - 1
+        if value < lower:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {lower}, got {text!r}")
+        return value
+
+    return parse
+
+
+_positive_int = _int_at_least(1)
 
 
 def _emit(text: str, output: Optional[str]) -> None:
@@ -215,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="enumerate one census cell")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--max-witness-len", type=int, default=DEFAULT_WITNESS_LEN)
+    p.add_argument("--max-witness-len", type=_positive_int, default=DEFAULT_WITNESS_LEN)
     p.add_argument("--parallel", type=_positive_int, default=1, help="worker processes")
     common(p)
     p.set_defaults(func=cmd_classify)
@@ -232,9 +240,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_pgl29)
 
     p = sub.add_parser("verify-theorem", help="compare census counts against the classification")
-    p.add_argument("--max-d", type=int, default=3)
-    p.add_argument("--max-n", type=int, default=7)
-    p.add_argument("--max-witness-len", type=int, default=DEFAULT_WITNESS_LEN)
+    p.add_argument("--max-d", type=_positive_int, default=3)
+    p.add_argument("--max-n", type=_int_at_least(3), default=7)
+    p.add_argument("--max-witness-len", type=_positive_int, default=DEFAULT_WITNESS_LEN)
     p.add_argument("--parallel", type=_positive_int, default=1, help="worker processes")
     common(p)
     p.set_defaults(func=cmd_verify_theorem)

@@ -103,9 +103,6 @@ class AdmissibleTriple:
         self._group = closure([self.lam, self.rho, self.tau], cap)
         return self._group
 
-    def _prime_group(self, group: GroupClosure) -> None:
-        self._group = group
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, AdmissibleTriple)

@@ -1,10 +1,14 @@
-"""Dense permutation algebra and brute-force group closure.
+"""Dense permutation algebra, group closure and Schreier orders.
 
-Everything works on explicit image arrays, and groups are realized as the
-full set of their elements.  The map groups this package deals in have
-order a few thousand at most, so plain breadth-first closure with a hash
-set beats any clever machinery: membership, subgroup index and element
-orders stay exact, cheap and deterministic.
+Everything works on explicit image arrays.  A group that is kept is
+realized as the full set of its elements: the map groups this package
+deals in have order a few thousand at most, so plain breadth-first
+closure with a hash set keeps membership, subgroup index and element
+orders exact, cheap and deterministic.  A group whose order is all that
+is wanted, such as a census candidate that is then thrown away, is
+decided by ``orbit_stabilizer`` instead: one point orbit plus the
+stabilizer that Schreier's lemma generates, so only the stabilizer is
+ever listed.
 
 Composition convention: ``p * q`` applies ``p`` first and ``q`` second,
 so exponent notation composes the usual way, x^(pq) = (x^p)^q.
@@ -30,6 +34,7 @@ __all__ = [
     "identity",
     "inverse",
     "is_involution",
+    "orbit_stabilizer",
     "perm_from_text",
     "perm_to_text",
     "power",
@@ -240,8 +245,7 @@ def _lex_sorted(matrix: np.ndarray) -> np.ndarray:
     return matrix[np.lexsort(matrix[:, ::-1].T)]
 
 
-def closure(generators: Iterable[Perm], cap: int) -> GroupClosure:
-    """Group generated by ``generators``, failing fast past ``cap`` elements."""
+def _checked_generators(generators: Iterable[Perm], cap: int) -> tuple[Perm, ...]:
     gens = tuple(generators)
     if cap < 1:
         raise ValueError("cap must be >= 1")
@@ -250,9 +254,89 @@ def closure(generators: Iterable[Perm], cap: int) -> GroupClosure:
     degree = gens[0].degree
     if any(g.degree != degree for g in gens):
         raise ValueError("generators must share a degree")
+    return gens
+
+
+def closure(generators: Iterable[Perm], cap: int) -> GroupClosure:
+    """Group generated by ``generators``, failing fast past ``cap`` elements."""
+    gens = _checked_generators(generators, cap)
+    degree = gens[0].degree
     matrix, seen = _closure_raw([g.images for g in gens], degree, cap)
     elements = tuple(Perm(row) for row in _lex_sorted(matrix))
     return GroupClosure(elements, len(elements), gens, frozenset(seen))
+
+
+def orbit_stabilizer(
+    generators: Iterable[Perm],
+    point: int,
+    cap: int,
+    known_stabilizer: Iterable[Perm] = (),
+) -> tuple[int, int]:
+    """(orbit length of ``point``, order of its stabilizer) in the group
+    generated by ``generators``, whose order is their product.
+
+    Schreier's lemma: with t_v a transversal element taking ``point`` to
+    v, the elements t_v * g * t_(v^g)^-1 over orbit points v and
+    generators g generate the stabilizer.  Each one is tested for
+    membership in the stabilizer found so far, which starts as the
+    closure of ``known_stabilizer`` (elements that must fix ``point``);
+    a non-member is added and the stabilizer closed again.  Only the
+    stabilizer is ever listed.  Raises CapExceeded as soon as the group
+    order must pass ``cap``, exactly when ``closure(generators, cap)``
+    would.
+    """
+    gens = _checked_generators(generators, cap)
+    degree = gens[0].degree
+    if not 0 <= point < degree:
+        raise ValueError(f"point {point} is outside 0..{degree - 1}")
+    stab_gens = []
+    for h in known_stabilizer:
+        if h.degree != degree or h(point) != point:
+            raise ValueError(f"{h!r} does not fix point {point}")
+        stab_gens.append(h.images)
+
+    images = [g.images for g in gens]
+    lists = [g.tolist() for g in images]
+
+    # the orbit first: its length bounds the stabilizer by cap // |orbit|
+    seen = {point}
+    orbit = [point]
+    for v in orbit:
+        for g in lists:
+            if g[v] not in seen:
+                if len(orbit) == cap:
+                    raise CapExceeded(cap)
+                seen.add(g[v])
+                orbit.append(g[v])
+    stab_cap = cap // len(orbit)
+
+    def close(arrays):
+        try:
+            return _closure_raw(arrays, degree, stab_cap)[1]
+        except CapExceeded:
+            raise CapExceeded(cap) from None
+
+    members = close(stab_gens)
+    # the same breadth-first search again, now carrying a transversal:
+    # trans[w] takes point to w; a tree edge v -> v^g = w defines trans[w]
+    # and every other edge gives the Schreier generator trans[v]*g*trans[w]^-1
+    trans = {point: np.arange(degree, dtype=np.int64)}
+    trans_inv = {}
+    for v in orbit:
+        for g, g_list in zip(images, lists):
+            w = g_list[v]
+            moved = g[trans[v]]
+            if w not in trans:
+                trans[w] = moved
+                continue
+            if w not in trans_inv:
+                trans_inv[w] = np.empty(degree, dtype=np.int64)
+                trans_inv[w][trans[w]] = np.arange(degree)
+            schreier = trans_inv[w][moved]
+            if schreier.tobytes() not in members:
+                stab_gens.append(schreier)
+                members = close(stab_gens)
+    return len(orbit), len(members)
 
 
 def contains(group: GroupClosure, p: Perm) -> bool:

@@ -5,15 +5,17 @@ of d copies of S_n acting coordinatewise, extended by S_d permuting the
 coordinate positions.  Every flag-regular embedding can be conjugated so
 that its triple takes a canonical shape parameterized by d permutations
 (sigma_0, ..., sigma_{d-1}) and an involution theta of the positions;
-``classify`` enumerates those parameters exhaustively, keeps the
-candidates whose closure is a flag-regular nonorientable map on H(d,n),
-and emits them as serializable census records.
+``classify`` counts those parameters, streams the ones whose sigma_0
+passes the clique filter, keeps the candidates whose group is a
+flag-regular nonorientable map on H(d,n), and emits them as serializable
+census records.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 import multiprocessing
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
@@ -36,15 +38,13 @@ from .perms import (
     CapExceeded,
     GroupClosure,
     Perm,
-    _closure_raw,
-    _lex_sorted,
     closure,
-    compose,
     element_order,
     evaluate_word,
     identity,
     inverse,
     is_involution,
+    orbit_stabilizer,
 )
 
 __all__ = [
@@ -137,18 +137,13 @@ def wreath_to_perm(w: WreathElem, d: int, n: int) -> Perm:
     """The induced permutation of the n^d mixed-radix vertex indices."""
     if w.d != d or w.n != n:
         raise ValueError(f"expected an element of S_{n} wr S_{d}")
-    size = n**d
-    scales = [n**i for i in range(d)]
-    dest = [scales[w.top(i)] for i in range(d)]
-    base = [b.images for b in w.base]
-    images = np.zeros(size, dtype=np.int64)
-    for v in range(size):
-        y = 0
-        rest = v
-        for i in range(d):
-            y += int(base[i][rest % n]) * dest[i]
-            rest //= n
-        images[v] = y
+    # y(v) = sum_i base_i[digit_i(v)] * n^top(i), built as an outer sum
+    # over the digits, least significant first, so the flat index is v
+    scales = n ** np.arange(d, dtype=np.int64)
+    images = np.zeros(1, dtype=np.int64)
+    for i in range(d):
+        term = w.base[i].images * scales[w.top(i)]
+        images = (term[:, None] + images).ravel()
     return Perm(images)
 
 
@@ -239,32 +234,66 @@ def canonical_triple(params: CanonicalTripleParams) -> AdmissibleTriple:
 # candidate enumeration
 
 
-@lru_cache(maxsize=None)
-def _all_perms(n: int) -> tuple[Perm, ...]:
-    return tuple(Perm(p) for p in itertools.permutations(range(n)))
+def _perms_with_prefix(n: int, prefix: tuple[int, ...], involutory: bool) -> tuple[Perm, ...]:
+    """Permutations of [n] whose image list starts with ``prefix``, in
+    lexicographic order; with ``involutory`` only those squaring to the
+    identity.  Only the tails are walked, and only the kept ones built."""
+    rest = [k for k in range(n) if k not in prefix]
+    out = []
+    for tail in itertools.permutations(rest):
+        images = prefix + tail
+        if involutory and any(images[images[i]] != i for i in range(n)):
+            continue
+        out.append(Perm(images))
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
 def _sigma0_choices(n: int) -> tuple[Perm, ...]:
-    return tuple(p for p in _all_perms(n) if is_involution(p) and p(0) == 1)
+    # the involutions with 0 -> 1, which all transpose 0 and 1
+    return _perms_with_prefix(n, (1, 0), involutory=True)
 
 
 @lru_cache(maxsize=None)
 def _fixing0_choices(n: int, involutory: bool) -> tuple[Perm, ...]:
-    out = []
-    for p in _all_perms(n):
-        if p(0) != 0:
-            continue
-        if involutory and not (p * p).is_identity():
-            continue
-        out.append(p)
-    return tuple(out)
+    return _perms_with_prefix(n, (0,), involutory)
 
 
 def _theta_choices(d: int) -> tuple[Perm, ...]:
-    return tuple(
-        p for p in _all_perms(d) if p(0) == 0 and (p * p).is_identity()
-    )
+    return _perms_with_prefix(d, (0,), involutory=True)
+
+
+def _theta_shapes(d: int, n: int, theta_sweep: bool):
+    """(theta, slots, pools) per theta: the orbits {i, i^theta} of theta on
+    positions 1..d-1, and for each the choices of sigma_i fixing 0."""
+    thetas = _theta_choices(d) if theta_sweep else (beta_perm(d),)
+    shapes = []
+    for theta in thetas:
+        slots: list[tuple[int, int]] = []
+        done = set()
+        for i in range(1, d):
+            if i in done:
+                continue
+            j = theta(i)
+            done.update((i, j))
+            slots.append((i, j))
+        pools = [_fixing0_choices(n, involutory=(i == j)) for i, j in slots]
+        shapes.append((theta, slots, pools))
+    return shapes
+
+
+def _candidates(d: int, n: int, shapes, sigma0s) -> Iterator[CanonicalTripleParams]:
+    """Stream the parameter tuples of the given shapes and sigma_0 choices
+    in lexicographic order; nothing is built before it is asked for."""
+    for theta, slots, pools in shapes:
+        for sigma0 in sigma0s:
+            for picks in itertools.product(*pools):
+                sigma: list[Optional[Perm]] = [None] * d
+                sigma[0] = sigma0
+                for (i, j), pick in zip(slots, picks):
+                    sigma[i] = pick
+                    sigma[j] = inverse(pick)
+                yield CanonicalTripleParams(d, n, tuple(sigma), theta)
 
 
 def enumerate_sigma_candidates(
@@ -279,26 +308,7 @@ def enumerate_sigma_candidates(
     """
     if d < 1 or n < 3:
         raise ValueError("requires d >= 1 and n >= 3")
-    thetas = _theta_choices(d) if theta_sweep else (beta_perm(d),)
-    for theta in thetas:
-        # orbit representatives of theta on positions 1..d-1
-        slots: list[tuple[int, int]] = []
-        done = set()
-        for i in range(1, d):
-            if i in done:
-                continue
-            j = theta(i)
-            done.update((i, j))
-            slots.append((i, j))
-        pools = [_fixing0_choices(n, involutory=(i == j)) for i, j in slots]
-        for sigma0 in _sigma0_choices(n):
-            for picks in itertools.product(*pools):
-                sigma: list[Optional[Perm]] = [None] * d
-                sigma[0] = sigma0
-                for (i, j), pick in zip(slots, picks):
-                    sigma[i] = pick
-                    sigma[j] = inverse(pick)
-                yield CanonicalTripleParams(d, n, tuple(sigma), theta)
+    yield from _candidates(d, n, _theta_shapes(d, n, theta_sweep), _sigma0_choices(n))
 
 
 # ---------------------------------------------------------------------------
@@ -452,47 +462,59 @@ def _clique_action_fits(n: int, sigma0: Perm) -> bool:
     return target % order == 0
 
 
+def _base_edge_orbit_size(t: AdmissibleTriple) -> int:
+    """Size of the orbit of the unordered vertex pair {0, e_0} = {0, 1}
+    under the triple's group, by breadth-first search over pairs."""
+    degree = t.degree
+    gens = (t.lam.images, t.rho.images, t.tau.images)
+    # the pair {a, b} with a < b is coded a * degree + b
+    seen = frontier = np.array([1], dtype=np.int64)
+    while frontier.size:
+        a, b = np.divmod(frontier, degree)
+        images = np.concatenate(
+            [np.minimum(g[a], g[b]) * degree + np.maximum(g[a], g[b]) for g in gens]
+        )
+        frontier = np.setdiff1d(images, seen)
+        seen = np.union1d(seen, frontier)
+    return int(seen.size)
+
+
 def _evaluate_candidate(params: CanonicalTripleParams, target: int, max_witness_len: int):
     """Run one candidate through the full pipeline.
 
     Returns (reason, payload) where reason is a CellStats field name and
-    payload is (invariants, witness) for kept candidates.
+    payload is (invariants, witness) for kept candidates.  The group
+    order, the base-vertex stabilizer and the base-edge orbit are decided
+    without listing the group; only a candidate that passes them is
+    closed in full, for validation, orientability and invariants.
     """
     d, n = params.d, params.n
     t = canonical_triple(params)
     if not all(is_involution(g) for g in (t.lam, t.rho, t.tau)):
         return ("precheck_rejected", None)
 
-    degree = t.degree
+    fixes_base = t.rho(0) == 0 and t.tau(0) == 0
     try:
-        matrix, keys = _closure_raw(
-            [t.lam.images, t.rho.images, t.tau.images], degree, cap=target
+        orbit, stab = orbit_stabilizer(
+            (t.lam, t.rho, t.tau), 0, target,
+            known_stabilizer=(t.rho, t.tau) if fixes_base else (),
         )
     except CapExceeded:
         return ("cap_exceeded", None)
-    order = matrix.shape[0]
-    if order != target:
+    if orbit * stab != target:
         return ("wrong_order", None)
 
     # <rho,tau> fixes the base vertex by construction, so counting the
     # stabilizer suffices for set equality with it
-    if t.rho(0) != 0 or t.tau(0) != 0:
-        return ("bad_stabilizer", None)
-    if int(np.count_nonzero(matrix[:, 0] == 0)) != 2 * d * (n - 1):
+    if not fixes_base or stab != 2 * d * (n - 1):
         return ("bad_stabilizer", None)
 
     # the orbit of the base edge {0, e_0} must consist of |G|/4 distinct
     # vertex pairs, i.e. the edge stabilizer is exactly the Klein four;
     # together with the stabilizer check this pins the underlying graph
-    a, b = matrix[:, 0], matrix[:, 1]
-    pairs = np.minimum(a, b) * degree + np.maximum(a, b)
-    if int(np.unique(pairs).size) != order // 4:
+    if _base_edge_orbit_size(t) != target // 4:
         return ("not_simple", None)
 
-    elements = tuple(Perm(row) for row in _lex_sorted(matrix))
-    t._prime_group(
-        GroupClosure(elements, order, (t.lam, t.rho, t.tau), frozenset(keys))
-    )
     report = validate_admissible(t, cap=target)
     if not report.ok:
         return ("invalid", None)
@@ -533,12 +555,18 @@ def classify(
 ) -> list[MapRecord]:
     """All nonorientable regular embeddings of H(d,n), as census records.
 
-    Candidates are the canonical parameter tuples; each is kept iff its
-    closure has exactly the flag count 2d(n-1)n^d, the base-vertex
-    stabilizer is <rho,tau>, the base-edge orbit is simple, the triple
-    validates, and the map is nonorientable.  Isomorphic survivors are
-    deduplicated and the result is sorted by (covalency, petrie length,
-    sigma), so output is deterministic and independent of worker count.
+    Candidates are the canonical parameter tuples.  They are counted from
+    the sizes of their parameter pools, and the count is checked against
+    ``budget`` before any is built.  The clique filter depends on sigma_0
+    alone, so it is applied to the sigma_0 choices and only the tuples of
+    the choices that pass it are built, lazily.  Each of those is kept
+    iff its group has exactly the flag count 2d(n-1)n^d (decided from a
+    vertex orbit and Schreier generators of the vertex stabilizer), the
+    base-vertex stabilizer is <rho,tau>, the base-edge orbit is simple,
+    the triple validates, and the map is nonorientable.  Isomorphic
+    survivors are deduplicated and the result is sorted by (covalency,
+    petrie length, sigma), so output is deterministic and independent of
+    worker count.
     """
     if d < 1 or n < 3:
         raise ValueError("classify requires d >= 1 and n >= 3")
@@ -552,39 +580,36 @@ def classify(
     target = 2 * d * (n - 1) * n**d
     if target > budget:
         raise BudgetExceeded(f"group order cap {target} exceeds budget {budget}")
-    candidates = list(enumerate_sigma_candidates(d, n, theta_sweep=theta_sweep))
-    stats.candidates = len(candidates)
-    if len(candidates) > budget:
+    shapes = _theta_shapes(d, n, theta_sweep)
+    sigma0s = _sigma0_choices(n)
+    per_sigma0 = sum(math.prod(len(pool) for pool in pools) for _, _, pools in shapes)
+    stats.candidates = len(sigma0s) * per_sigma0
+    if stats.candidates > budget:
         raise BudgetExceeded(
-            f"candidate count {len(candidates)} exceeds budget {budget}"
+            f"candidate count {stats.candidates} exceeds budget {budget}"
         )
 
     if clique_filter:
-        fits: dict[bytes, bool] = {}
-        survivors = []
-        for p in candidates:
-            verdict = fits.get(p.sigma[0].key)
-            if verdict is None:
-                verdict = _clique_action_fits(n, p.sigma[0])
-                fits[p.sigma[0].key] = verdict
-            if verdict:
-                survivors.append(p)
-            else:
-                stats.clique_rejected += 1
-    else:
-        survivors = candidates
+        fitting = tuple(s for s in sigma0s if _clique_action_fits(n, s))
+        stats.clique_rejected += (len(sigma0s) - len(fitting)) * per_sigma0
+        sigma0s = fitting
+    survivors = _candidates(d, n, shapes, sigma0s)
 
+    if workers > 1:
+        survivors = list(survivors)
     if workers > 1 and len(survivors) > 1:
         ctx = multiprocessing.get_context("fork")
         jobs = [(p, target, max_witness_len) for p in survivors]
         chunk = max(1, len(jobs) // (workers * 8))
         with ctx.Pool(workers) as pool:
-            results = pool.map(_evaluate_for_pool, jobs, chunksize=chunk)
+            evaluated = zip(survivors, pool.map(_evaluate_for_pool, jobs, chunksize=chunk))
     else:
-        results = [_evaluate_candidate(p, target, max_witness_len) for p in survivors]
+        evaluated = (
+            (p, _evaluate_candidate(p, target, max_witness_len)) for p in survivors
+        )
 
     records: list[MapRecord] = []
-    for params, (reason, payload) in zip(survivors, results):
+    for params, (reason, payload) in evaluated:
         if reason != "kept":
             setattr(stats, reason, getattr(stats, reason) + 1)
             continue

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -130,3 +131,31 @@ def test_non_positive_budget_or_workers_exit_2(capsys, flag):
         main(["classify", "--d", "1", "--n", "4", flag, "0"])
     assert exc.value.code == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-theorem", "--max-d", "0"],
+        ["verify-theorem", "--max-n", "2"],
+        ["verify-theorem", "--max-witness-len", "0"],
+        ["classify", "--d", "2", "--n", "3", "--max-witness-len", "0"],
+    ],
+)
+def test_empty_range_or_witness_bound_exits_2(capsys, argv):
+    # rejected while parsing, before any census cell runs
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_over_budget_cell_exits_3_before_building(capsys):
+    # the count comes from the pool sizes; building the 88.9M candidates
+    # first would take hours and gigabytes
+    start = time.perf_counter()
+    code = main(["classify", "--d", "4", "--n", "8", "--budget", "1000000"])
+    elapsed = time.perf_counter() - start
+    assert code == 3
+    assert "candidate count 88865280 exceeds budget 1000000" in capsys.readouterr().err
+    assert elapsed < 5

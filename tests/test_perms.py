@@ -15,6 +15,7 @@ from regmaps.perms import (
     identity,
     inverse,
     is_involution,
+    orbit_stabilizer,
     perm_from_text,
     perm_to_text,
     power,
@@ -202,3 +203,41 @@ def test_perm_text_roundtrip():
     p = Perm([1, 0, 2, 3])
     assert perm_to_text(p) == "1 0 2 3"
     assert perm_from_text("1 0 2 3") == p
+
+
+def _random_perm(rng, degree):
+    images = list(range(degree))
+    rng.shuffle(images)
+    return Perm(images)
+
+
+def test_orbit_stabilizer_agrees_with_closure_and_sympy():
+    from sympy.combinatorics import Permutation, PermutationGroup
+
+    rng = random.Random(29)
+    for _ in range(100):
+        degree = rng.randint(1, 6)
+        gens = [_random_perm(rng, degree) for _ in range(rng.randint(1, 3))]
+        point = rng.randrange(degree)
+        known = [g for g in gens if g(point) == point]
+        cap = rng.choice([1, 3, 8, 24, 120, 720])
+        try:
+            order = closure(gens, cap).order
+        except CapExceeded:
+            order = None
+        for stabilizer in ((), known):
+            try:
+                orbit, stab = orbit_stabilizer(gens, point, cap, stabilizer)
+            except CapExceeded:
+                assert order is None
+                continue
+            assert orbit * stab == order
+            assert orbit == len({g(point) for g in closure(gens, cap).elements})
+        if order is not None:
+            sympy_group = PermutationGroup([Permutation(g.images.tolist()) for g in gens])
+            assert sympy_group.order() == order
+
+
+def test_orbit_stabilizer_rejects_a_known_element_moving_the_point():
+    with pytest.raises(ValueError):
+        orbit_stabilizer([GAMMA6], 1, cap=100, known_stabilizer=[GAMMA6])

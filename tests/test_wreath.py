@@ -75,6 +75,17 @@ def test_wreath_to_perm_is_homomorphism():
             assert lhs == rhs
 
 
+def test_wreath_to_perm_matches_digit_oracle():
+    rng = random.Random(13)
+    for d, n in ((1, 5), (2, 3), (3, 4), (4, 3)):
+        for _ in range(25):
+            w = random_wreath(rng, d, n)
+            p = wreath_to_perm(w, d, n)
+            assert [p(v) for v in range(n**d)] == [
+                wreath_image_oracle(w, d, n, v) for v in range(n**d)
+            ]
+
+
 def test_wreath_inverse():
     rng = random.Random(9)
     for _ in range(20):
@@ -252,6 +263,21 @@ def test_classify_budget():
     classify(2, 3, budget=100_000, stats=stats)
     assert stats.candidates == 2
     assert stats.orientable == 1
+
+
+def test_classify_counts_rejected_candidates_without_building_them():
+    # clique-rejected tuples are counted from pool sizes, so a cell of
+    # 88.9M candidates whose sigma_0 choices all fail is settled at once
+    stats = CellStats()
+    assert classify(4, 8, budget=10**8, stats=stats) == []
+    assert stats.candidates == stats.clique_rejected == 88_865_280
+    stats = CellStats()
+    assert classify(3, 8, budget=10**6, stats=stats) == []
+    assert stats.candidates == stats.clique_rejected == 383_040
+    stats = CellStats()
+    with pytest.raises(BudgetExceeded, match="candidate count 88865280 exceeds budget 1000000"):
+        classify(4, 8, budget=10**6, stats=stats)
+    assert stats.candidates == 88_865_280 and stats.clique_rejected == 0
 
 
 def test_classify_k3_special_cell():
