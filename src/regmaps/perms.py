@@ -267,10 +267,7 @@ def closure(generators: Iterable[Perm], cap: int) -> GroupClosure:
 
 
 def orbit_stabilizer(
-    generators: Iterable[Perm],
-    point: int,
-    cap: int,
-    known_stabilizer: Iterable[Perm] = (),
+    generators: Iterable[Perm], point: int, cap: int
 ) -> tuple[int, int]:
     """(orbit length of ``point``, order of its stabilizer) in the group
     generated by ``generators``, whose order is their product.
@@ -279,21 +276,16 @@ def orbit_stabilizer(
     v, the elements t_v * g * t_(v^g)^-1 over orbit points v and
     generators g generate the stabilizer.  Each one is tested for
     membership in the stabilizer found so far, which starts as the
-    closure of ``known_stabilizer`` (elements that must fix ``point``);
-    a non-member is added and the stabilizer closed again.  Only the
-    stabilizer is ever listed.  Raises CapExceeded as soon as the group
-    order must pass ``cap``, exactly when ``closure(generators, cap)``
-    would.
+    closure of the generators that fix ``point``; a non-member is added
+    and the stabilizer closed again.  Only the stabilizer is ever listed.
+    Raises CapExceeded as soon as the group order must pass ``cap``,
+    exactly when ``closure(generators, cap)`` would.
     """
     gens = _checked_generators(generators, cap)
     degree = gens[0].degree
     if not 0 <= point < degree:
         raise ValueError(f"point {point} is outside 0..{degree - 1}")
-    stab_gens = []
-    for h in known_stabilizer:
-        if h.degree != degree or h(point) != point:
-            raise ValueError(f"{h!r} does not fix point {point}")
-        stab_gens.append(h.images)
+    stab_gens = [g.images for g in gens if g(point) == point]
 
     images = [g.images for g in gens]
     lists = [g.tolist() for g in images]

@@ -30,7 +30,6 @@ from .maps import (
     MapInvariants,
     antipodal_cycle_triple,
     invariants,
-    is_orientable,
     nonorientability_witness,
     validate_admissible,
 )
@@ -205,12 +204,14 @@ class CanonicalTripleParams:
                 raise ValueError(f"sigma_{i} * sigma_{i}^theta must be the identity")
 
 
+@lru_cache(maxsize=None)
 def canonical_tau(d: int, n: int) -> Perm:
     """tau = (tau_seed, beta_n, ..., beta_n) * beta_d as a vertex permutation."""
     base = (tau_seed_perm(n),) + tuple(beta_perm(n) for _ in range(d - 1))
     return wreath_to_perm(WreathElem(base, beta_perm(d)), d, n)
 
 
+@lru_cache(maxsize=None)
 def canonical_r(d: int, n: int) -> Perm:
     """R = (id, ..., id, gamma_n) * alpha_d: the base vertex rotation."""
     base = tuple(identity(n) for _ in range(d - 1)) + (gamma_perm(n),)
@@ -493,20 +494,16 @@ def _evaluate_candidate(params: CanonicalTripleParams, target: int, max_witness_
     if not all(is_involution(g) for g in (t.lam, t.rho, t.tau)):
         return ("precheck_rejected", None)
 
-    fixes_base = t.rho(0) == 0 and t.tau(0) == 0
     try:
-        orbit, stab = orbit_stabilizer(
-            (t.lam, t.rho, t.tau), 0, target,
-            known_stabilizer=(t.rho, t.tau) if fixes_base else (),
-        )
+        orbit, stab = orbit_stabilizer((t.lam, t.rho, t.tau), 0, target)
     except CapExceeded:
         return ("cap_exceeded", None)
     if orbit * stab != target:
         return ("wrong_order", None)
 
-    # <rho,tau> fixes the base vertex by construction, so counting the
-    # stabilizer suffices for set equality with it
-    if not fixes_base or stab != 2 * d * (n - 1):
+    # <rho,tau> has order 2d(n-1) by construction, so once it fixes the
+    # base vertex, counting the stabilizer suffices for set equality
+    if not (t.rho(0) == 0 and t.tau(0) == 0) or stab != 2 * d * (n - 1):
         return ("bad_stabilizer", None)
 
     # the orbit of the base edge {0, e_0} must consist of |G|/4 distinct
@@ -518,9 +515,9 @@ def _evaluate_candidate(params: CanonicalTripleParams, target: int, max_witness_
     report = validate_admissible(t, cap=target)
     if not report.ok:
         return ("invalid", None)
-    if is_orientable(t, cap=target):
-        return ("orientable", None)
     inv = invariants(t, cap=target)
+    if inv.orientable:
+        return ("orientable", None)
     wit = nonorientability_witness(t, max_witness_len)
     return ("kept", (inv, tuple(wit) if wit is not None else None))
 
@@ -597,7 +594,6 @@ def classify(
 
     if workers > 1:
         survivors = list(survivors)
-    if workers > 1 and len(survivors) > 1:
         ctx = multiprocessing.get_context("fork")
         jobs = [(p, target, max_witness_len) for p in survivors]
         chunk = max(1, len(jobs) // (workers * 8))

@@ -211,33 +211,38 @@ def _random_perm(rng, degree):
     return Perm(images)
 
 
-def test_orbit_stabilizer_agrees_with_closure_and_sympy():
-    from sympy.combinatorics import Permutation, PermutationGroup
-
+def _random_generator_sets():
+    """100 seeded (generators, point, cap) cases of degree at most 6;
+    some generators fix the point and seed the stabilizer."""
     rng = random.Random(29)
     for _ in range(100):
         degree = rng.randint(1, 6)
         gens = [_random_perm(rng, degree) for _ in range(rng.randint(1, 3))]
         point = rng.randrange(degree)
-        known = [g for g in gens if g(point) == point]
         cap = rng.choice([1, 3, 8, 24, 120, 720])
+        yield gens, point, cap
+
+
+def test_orbit_stabilizer_agrees_with_closure():
+    for gens, point, cap in _random_generator_sets():
         try:
-            order = closure(gens, cap).order
+            group = closure(gens, cap)
         except CapExceeded:
-            order = None
-        for stabilizer in ((), known):
-            try:
-                orbit, stab = orbit_stabilizer(gens, point, cap, stabilizer)
-            except CapExceeded:
-                assert order is None
-                continue
-            assert orbit * stab == order
-            assert orbit == len({g(point) for g in closure(gens, cap).elements})
-        if order is not None:
-            sympy_group = PermutationGroup([Permutation(g.images.tolist()) for g in gens])
-            assert sympy_group.order() == order
+            with pytest.raises(CapExceeded):
+                orbit_stabilizer(gens, point, cap)
+            continue
+        orbit, stab = orbit_stabilizer(gens, point, cap)
+        assert orbit * stab == group.order
+        assert orbit == len({g(point) for g in group.elements})
+        assert stab == sum(1 for g in group.elements if g(point) == point)
 
 
-def test_orbit_stabilizer_rejects_a_known_element_moving_the_point():
-    with pytest.raises(ValueError):
-        orbit_stabilizer([GAMMA6], 1, cap=100, known_stabilizer=[GAMMA6])
+def test_orbit_stabilizer_agrees_with_sympy():
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    for gens, point, _ in _random_generator_sets():
+        orbit, stab = orbit_stabilizer(gens, point, cap=720)
+        group = combinatorics.PermutationGroup(
+            [combinatorics.Permutation(g.images.tolist()) for g in gens]
+        )
+        assert orbit * stab == group.order()
+        assert orbit == len(group.orbit(point))
