@@ -130,6 +130,17 @@ class Perm:
         return f"Perm({body}, degree={self.degree})"
 
 
+def _trusted(images: np.ndarray) -> Perm:
+    """A Perm over an int64 image array that is a permutation by
+    construction (a product, inverse or closure row of checked Perms),
+    skipping the constructor's checks.  The array is frozen, not copied."""
+    p = Perm.__new__(Perm)
+    images.setflags(write=False)
+    p.images = images
+    p.key = images.tobytes()
+    return p
+
+
 def identity(degree: int) -> Perm:
     return Perm(np.arange(degree))
 
@@ -138,26 +149,26 @@ def compose(p: Perm, q: Perm) -> Perm:
     """Product p*q under the apply-p-first convention: images[i] = q[p[i]]."""
     if p.degree != q.degree:
         raise ValueError(f"degree mismatch: {p.degree} != {q.degree}")
-    return Perm(q.images[p.images])
+    return _trusted(q.images[p.images])
 
 
 def inverse(p: Perm) -> Perm:
     inv = np.empty(p.degree, dtype=np.int64)
     inv[p.images] = np.arange(p.degree)
-    return Perm(inv)
+    return _trusted(inv)
 
 
 def power(p: Perm, k: int) -> Perm:
     if k < 0:
         return power(inverse(p), -k)
-    acc = np.arange(p.degree)
+    acc = np.arange(p.degree, dtype=np.int64)
     base = p.images
     while k:
         if k & 1:
             acc = base[acc]
         base = base[base]
         k >>= 1
-    return Perm(acc)
+    return _trusted(acc)
 
 
 def element_order(p: Perm) -> int:
@@ -262,7 +273,7 @@ def closure(generators: Iterable[Perm], cap: int) -> GroupClosure:
     gens = _checked_generators(generators, cap)
     degree = gens[0].degree
     matrix, seen = _closure_raw([g.images for g in gens], degree, cap)
-    elements = tuple(Perm(row) for row in _lex_sorted(matrix))
+    elements = tuple(_trusted(row) for row in _lex_sorted(matrix))
     return GroupClosure(elements, len(elements), gens, frozenset(seen))
 
 

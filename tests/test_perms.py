@@ -80,6 +80,21 @@ def test_power():
     assert power(GAMMA6, 7) == compose(GAMMA6, GAMMA6)
 
 
+def test_derived_perms_pass_the_checks_and_are_frozen():
+    invol = Perm([1, 0, 5, 3, 4, 2])
+    derived = [
+        compose(GAMMA6, invol),
+        inverse(GAMMA6),
+        power(GAMMA6, 0),
+        power(GAMMA6, -3),
+        *closure([GAMMA6, invol], cap=720),
+    ]
+    for p in derived:
+        assert Perm(p.images) == p
+        with pytest.raises(ValueError):
+            p.images[0] = p.images[1]
+
+
 def test_element_order():
     assert element_order(identity(4)) == 1
     assert element_order(GAMMA6) == 5
