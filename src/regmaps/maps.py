@@ -3,10 +3,13 @@
 A flag-regular map is carried by three involutions (lam, rho, tau) with
 (lam*tau)^2 = 1: lam fixes the base edge and face, rho the base vertex
 and face, tau the base vertex and edge.  All invariants are computed
-group-theoretically from element orders and subgroup indices; the
-underlying graph is recovered from cosets, never read off the carrier
-domain, because the group may act unfaithfully on the graph's vertices
-(the 4-cycle map realized on the octagon is the standard example).
+group-theoretically from element orders and subgroup orders; the orders
+of the map group and of its rotation subgroup <R, L> come from
+``perms.orbit_stabilizer``, so validation, orientability and invariants
+never list either group.  The underlying graph is recovered from cosets,
+never read off the carrier domain, because the group may act
+unfaithfully on the graph's vertices (the 4-cycle map realized on the
+octagon is the standard example); only that needs the listed group.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from .perms import (
     identity,
     inverse,
     is_involution,
+    orbit_stabilizer,
     perm_from_text,
     perm_to_text,
     power,
@@ -68,9 +72,15 @@ class CosetGraphError(Exception):
 
 
 class AdmissibleTriple:
-    """Involutions (lam, rho, tau) acting faithfully on a carrier domain."""
+    """Involutions (lam, rho, tau) acting faithfully on a carrier domain.
 
-    __slots__ = ("lam", "rho", "tau", "_group")
+    The group they generate is kept in two forms, each computed at most
+    once: its order, as the orbit length of point 0 and the order of that
+    point's stabilizer (``orbit_stabilizer``), and its listed elements
+    (``group``), which only the coset graph and structural checks need.
+    """
+
+    __slots__ = ("lam", "rho", "tau", "_group", "_orbit_stabilizer")
 
     def __init__(self, lam: Perm, rho: Perm, tau: Perm):
         if not (lam.degree == rho.degree == tau.degree):
@@ -79,6 +89,7 @@ class AdmissibleTriple:
         self.rho = rho
         self.tau = tau
         self._group: Optional[GroupClosure] = None
+        self._orbit_stabilizer: Optional[tuple[int, int]] = None
 
     @property
     def degree(self) -> int:
@@ -102,6 +113,23 @@ class AdmissibleTriple:
             return self._group
         self._group = closure([self.lam, self.rho, self.tau], cap)
         return self._group
+
+    def orbit_stabilizer(self, cap: int = DEFAULT_BUDGET) -> tuple[int, int]:
+        """(orbit length of point 0, order of its stabilizer) in the group,
+        found by Schreier's lemma without listing it; cached after the
+        first success.  Raises CapExceeded exactly when ``group(cap)``
+        would."""
+        if self._orbit_stabilizer is None:
+            self._orbit_stabilizer = orbit_stabilizer((self.lam, self.rho, self.tau), 0, cap)
+        orbit, stab = self._orbit_stabilizer
+        if orbit * stab > cap:
+            raise CapExceeded(cap)
+        return self._orbit_stabilizer
+
+    def order(self, cap: int = DEFAULT_BUDGET) -> int:
+        """Order of the group, without listing it; see orbit_stabilizer."""
+        orbit, stab = self.orbit_stabilizer(cap)
+        return orbit * stab
 
     def __eq__(self, other) -> bool:
         return (
@@ -164,7 +192,9 @@ def validate_admissible(t: AdmissibleTriple, cap: int = DEFAULT_BUDGET) -> Valid
 
     A cap overflow of the full group shows up as a failed check rather
     than an exception, so callers can treat "too big" uniformly with
-    "structurally wrong".
+    "structurally wrong".  The group order comes from ``t.order``, which
+    lists no group; only the three stabilizers, of order at most 4, 2q
+    and 2p, are closed in full.
     """
     checks: list[tuple[str, bool]] = []
 
@@ -175,7 +205,7 @@ def validate_admissible(t: AdmissibleTriple, cap: int = DEFAULT_BUDGET) -> Valid
 
     group_order: Optional[int] = None
     try:
-        group_order = t.group(cap).order
+        group_order = t.order(cap)
         checks.append(("group_closes_within_cap", True))
     except CapExceeded:
         checks.append(("group_closes_within_cap", False))
@@ -205,12 +235,19 @@ def validate_admissible(t: AdmissibleTriple, cap: int = DEFAULT_BUDGET) -> Valid
 
 def is_orientable(t: AdmissibleTriple, cap: int = DEFAULT_BUDGET) -> bool:
     """Orientable iff <R, L> has index 2 in the full group (index 1 means
-    the rotation subgroup already reverses orientation somewhere)."""
-    group = t.group(cap)
-    sub = closure([t.R, t.L], cap=group.order)
-    index, rem = divmod(group.order, sub.order)
+    the rotation subgroup already reverses orientation somewhere).
+
+    Both orders come from Schreier orbit-stabilizer counts at point 0,
+    so neither group is listed; <R, L> lies in the group, so its count
+    cannot pass the group's order.  Raises CapExceeded when the group
+    does not close within ``cap``.
+    """
+    order = t.order(cap)
+    orbit, stab = orbit_stabilizer((t.R, t.L), 0, order)
+    sub = orbit * stab
+    index, rem = divmod(order, sub)
     if rem or index not in (1, 2):
-        raise InvalidTripleError(f"<R,L> has index {group.order}/{sub.order}; triple is inconsistent")
+        raise InvalidTripleError(f"<R,L> has index {order}/{sub}; triple is inconsistent")
     return index == 2
 
 

@@ -1,14 +1,15 @@
 """Dense permutation algebra, group closure and Schreier orders.
 
-Everything works on explicit image arrays.  A group that is kept is
-realized as the full set of its elements: the map groups this package
-deals in have order a few thousand at most, so plain breadth-first
-closure with a hash set keeps membership, subgroup index and element
-orders exact, cheap and deterministic.  A group whose order is all that
-is wanted, such as a census candidate that is then thrown away, is
-decided by ``orbit_stabilizer`` instead: one point orbit plus the
-stabilizer that Schreier's lemma generates, so only the stabilizer is
-ever listed.
+Everything works on explicit image arrays.  A group whose elements are
+needed, as for a coset graph, is realized as the full set of them: the
+map groups this package deals in have order a few thousand at most, so
+plain breadth-first closure with a hash set keeps membership, subgroup
+index and element orders exact, cheap and deterministic.  A group whose
+order is all that is wanted is decided by ``orbit_stabilizer`` instead:
+one point orbit plus the stabilizer that Schreier's lemma generates, so
+only the stabilizer is ever listed.  That settles a census candidate's
+group order, and the group orders behind a map's validation, invariants
+and orientability (the index of the rotation subgroup <R, L>).
 
 Composition convention: ``p * q`` applies ``p`` first and ``q`` second,
 so exponent notation composes the usual way, x^(pq) = (x^p)^q.

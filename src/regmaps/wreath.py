@@ -43,7 +43,6 @@ from .perms import (
     identity,
     inverse,
     is_involution,
-    orbit_stabilizer,
 )
 
 __all__ = [
@@ -264,9 +263,23 @@ def _theta_choices(d: int) -> tuple[Perm, ...]:
     return _perms_with_prefix(d, (0,), involutory=True)
 
 
-def _theta_shapes(d: int, n: int, theta_sweep: bool):
-    """(theta, slots, pools) per theta: the orbits {i, i^theta} of theta on
-    positions 1..d-1, and for each the choices of sigma_i fixing 0."""
+def _fixing0_count(n: int, involutory: bool) -> int:
+    """len(_fixing0_choices(n, involutory)), counted without building the
+    pool: (n-1)! permutations of the points 1..n-1, of which I(n-1) square
+    to the identity, where I(m) = I(m-1) + (m-1) I(m-2) and I(0) = I(1) = 1
+    (the point m is fixed or swapped with one of the other m-1)."""
+    if not involutory:
+        return math.factorial(n - 1)
+    prev, cur = 1, 1
+    for m in range(2, n):
+        prev, cur = cur, cur + (m - 1) * prev
+    return cur
+
+
+def _theta_shapes(d: int, theta_sweep: bool):
+    """(theta, slots) per theta: the orbits {i, i^theta} of theta on
+    positions 1..d-1.  Slot (i, j) takes a sigma_i fixing 0, which must be
+    an involution when i == j; sigma_j is then its inverse."""
     thetas = _theta_choices(d) if theta_sweep else (beta_perm(d),)
     shapes = []
     for theta in thetas:
@@ -278,16 +291,17 @@ def _theta_shapes(d: int, n: int, theta_sweep: bool):
             j = theta(i)
             done.update((i, j))
             slots.append((i, j))
-        pools = [_fixing0_choices(n, involutory=(i == j)) for i, j in slots]
-        shapes.append((theta, slots, pools))
+        shapes.append((theta, slots))
     return shapes
 
 
 def _candidates(d: int, n: int, shapes, sigma0s) -> Iterator[CanonicalTripleParams]:
     """Stream the parameter tuples of the given shapes and sigma_0 choices
-    in lexicographic order; nothing is built before it is asked for."""
-    for theta, slots, pools in shapes:
+    in lexicographic order; nothing is built before it is asked for, and
+    the sigma_i pools only once some sigma_0 is there to pair with them."""
+    for theta, slots in shapes:
         for sigma0 in sigma0s:
+            pools = [_fixing0_choices(n, involutory=(i == j)) for i, j in slots]
             for picks in itertools.product(*pools):
                 sigma: list[Optional[Perm]] = [None] * d
                 sigma[0] = sigma0
@@ -309,7 +323,7 @@ def enumerate_sigma_candidates(
     """
     if d < 1 or n < 3:
         raise ValueError("requires d >= 1 and n >= 3")
-    yield from _candidates(d, n, _theta_shapes(d, n, theta_sweep), _sigma0_choices(n))
+    yield from _candidates(d, n, _theta_shapes(d, theta_sweep), _sigma0_choices(n))
 
 
 # ---------------------------------------------------------------------------
@@ -484,10 +498,10 @@ def _evaluate_candidate(params: CanonicalTripleParams, target: int, max_witness_
     """Run one candidate through the full pipeline.
 
     Returns (reason, payload) where reason is a CellStats field name and
-    payload is (invariants, witness) for kept candidates.  The group
-    order, the base-vertex stabilizer and the base-edge orbit are decided
-    without listing the group; only a candidate that passes them is
-    closed in full, for validation, orientability and invariants.
+    payload is (invariants, witness) for kept candidates.  No group is
+    listed: the group order and base-vertex stabilizer come from the
+    triple's one Schreier count, which validation and invariants then
+    reuse, and the base-edge orbit from a search over vertex pairs.
     """
     d, n = params.d, params.n
     t = canonical_triple(params)
@@ -495,7 +509,7 @@ def _evaluate_candidate(params: CanonicalTripleParams, target: int, max_witness_
         return ("precheck_rejected", None)
 
     try:
-        orbit, stab = orbit_stabilizer((t.lam, t.rho, t.tau), 0, target)
+        orbit, stab = t.orbit_stabilizer(target)
     except CapExceeded:
         return ("cap_exceeded", None)
     if orbit * stab != target:
@@ -577,9 +591,11 @@ def classify(
     target = 2 * d * (n - 1) * n**d
     if target > budget:
         raise BudgetExceeded(f"group order cap {target} exceeds budget {budget}")
-    shapes = _theta_shapes(d, n, theta_sweep)
+    shapes = _theta_shapes(d, theta_sweep)
     sigma0s = _sigma0_choices(n)
-    per_sigma0 = sum(math.prod(len(pool) for pool in pools) for _, _, pools in shapes)
+    per_sigma0 = sum(
+        math.prod(_fixing0_count(n, i == j) for i, j in slots) for _, slots in shapes
+    )
     stats.candidates = len(sigma0s) * per_sigma0
     if stats.candidates > budget:
         raise BudgetExceeded(

@@ -7,15 +7,15 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# demo 02 runs a census and is left out to keep the suite fast
-FAST_DEMOS = [*ROOT.glob("demos/01_*.py"), *ROOT.glob("demos/03_*.py")]
+# every demo runs in under a second, the census of demo 02 included
+DEMOS = sorted(ROOT.glob("demos/*.py"))
 
 
 def test_fast_demos_exist():
-    assert len(FAST_DEMOS) == 2
+    assert len(DEMOS) == 3
 
 
-@pytest.mark.parametrize("demo", FAST_DEMOS, ids=lambda p: p.name)
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(demo):
     paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}

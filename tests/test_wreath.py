@@ -1,8 +1,11 @@
 import itertools
+import json
 import random
+from pathlib import Path
 
 import pytest
 
+from regmaps import maps, wreath
 from regmaps.graphs import hamming
 from regmaps.maps import clique_submap, invariants, petrie_dual
 from regmaps.perms import Perm, closure, compose, contains, identity, inverse, subgroup_index
@@ -30,6 +33,8 @@ from regmaps.wreath import (
     verify_theorem,
     wreath_to_perm,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def wreath_image_oracle(w, d, n, v):
@@ -265,9 +270,21 @@ def test_classify_budget():
     assert stats.orientable == 1
 
 
-def test_classify_counts_rejected_candidates_without_building_them():
+@pytest.mark.parametrize("n", range(3, 10))
+def test_pool_counts_match_the_built_pools(n):
+    for involutory in (False, True):
+        built = wreath._fixing0_choices(n, involutory)
+        assert wreath._fixing0_count(n, involutory) == len(built)
+
+
+def test_classify_counts_rejected_candidates_without_building_them(monkeypatch):
     # clique-rejected tuples are counted from pool sizes, so a cell of
-    # 88.9M candidates whose sigma_0 choices all fail is settled at once
+    # 88.9M candidates whose sigma_0 choices all fail is settled at once,
+    # without building a single sigma_i pool
+    def no_pools(n, involutory):
+        raise AssertionError(f"sigma_i pool built for n={n}")
+
+    monkeypatch.setattr(wreath, "_fixing0_choices", no_pools)
     stats = CellStats()
     assert classify(4, 8, budget=10**8, stats=stats) == []
     assert stats.candidates == stats.clique_rejected == 88_865_280
@@ -394,6 +411,25 @@ def test_records_json_revalidates():
     payload[0]["genus"] = 6
     with pytest.raises(ValueError):
         records_from_json(json.dumps(payload))
+
+
+def test_revalidating_a_record_lists_no_group(monkeypatch):
+    # only the edge, vertex and face stabilizers are closed in full; the
+    # orders of the map group and of <R, L> come from Schreier counts
+    fixture = ROOT / "perfbench" / "fixtures" / "census_reload.json"
+    payload = [obj for obj in json.loads(fixture.read_text()) if (obj["d"], obj["n"]) == (4, 4)]
+    caps = []
+
+    def recording_closure(generators, cap):
+        caps.append(cap)
+        return closure(generators, cap)
+
+    monkeypatch.setattr(maps, "closure", recording_closure)
+    [rec] = records_from_json(json.dumps(payload))
+    assert rec.invariants.group_order == 6144
+    p, q = rec.invariants.covalency, rec.invariants.valency
+    assert len(caps) == 3
+    assert max(caps) <= 4 * max(p, q)
 
 
 def test_expected_count_table():
