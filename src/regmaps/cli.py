@@ -19,8 +19,8 @@ from typing import Optional
 from .maps import (
     DEFAULT_BUDGET,
     InvalidTripleError,
+    _invariants_from,
     builtin_triple_names,
-    invariants,
     named_triple,
     parse_triple,
     validate_admissible,
@@ -106,7 +106,7 @@ def _load_triple(spec: str):
 def cmd_invariants(args) -> int:
     triple = _load_triple(args.triple)
     report = validate_admissible(triple, cap=args.budget)
-    inv = invariants(triple, cap=args.budget) if report.ok else None
+    inv = _invariants_from(triple, report, args.budget) if report.ok else None
     if args.format == "json":
         payload = {
             "validation": {

@@ -252,7 +252,12 @@ def is_orientable(t: AdmissibleTriple, cap: int = DEFAULT_BUDGET) -> bool:
 
 
 def invariants(t: AdmissibleTriple, cap: int = DEFAULT_BUDGET) -> MapInvariants:
-    report = validate_admissible(t, cap)
+    return _invariants_from(t, validate_admissible(t, cap), cap)
+
+
+def _invariants_from(t: AdmissibleTriple, report: ValidationReport, cap: int) -> MapInvariants:
+    """``invariants`` for a caller that holds the triple's validation
+    report already, so the stabilizer checks are not run twice."""
     if not report.ok:
         raise InvalidTripleError(f"triple failed validation: {report.failed()}")
     order = report.group_order

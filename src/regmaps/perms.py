@@ -11,6 +11,14 @@ only the stabilizer is ever listed.  That settles a census candidate's
 group order, and the group orders behind a map's validation, invariants
 and orientability (the index of the rotation subgroup <R, L>).
 
+The closure kernel keeps its elements as rows of one growing int64
+matrix; each breadth-first level multiplies the previous level's rows
+by a generator in one block, and copies in only the rows it has not
+seen.  ``orbit_stabilizer`` memoizes the closure it starts from, which
+the candidates of a census cell share, and stops by Lagrange's theorem
+as soon as a stabilizer already at its cap meets a non-member, without
+closing again.
+
 Composition convention: ``p * q`` applies ``p`` first and ``q`` second,
 so exponent notation composes the usual way, x^(pq) = (x^p)^q.
 """
@@ -19,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -228,28 +237,42 @@ def _closure_raw(gen_arrays: Sequence[np.ndarray], degree: int, cap: int):
 
     Returns (matrix, keyset) with one element per matrix row, in discovery
     order.  Raises CapExceeded as soon as the element count would pass
-    ``cap``.
+    ``cap``.  The rows live in one growing matrix, each level's products
+    are one block whose keys are slices of a single byte string, and only
+    the rows not seen before are copied into the matrix.
     """
-    ident = np.arange(degree, dtype=np.int64)
-    seen = {ident.tobytes()}
-    rows = [ident]
-    frontier = np.expand_dims(ident, 0)
-    while frontier.shape[0]:
-        fresh = []
+    # rows[:count] holds every element found so far, and rows[lo:hi] the
+    # previous BFS level; capacity grows by doubling, never past cap
+    rows = np.empty((min(cap, 64), degree), dtype=np.int64)
+    rows[0] = np.arange(degree)
+    seen = {rows[0].tobytes()}
+    width = 8 * degree
+    lo, hi = 0, 1
+    count = 1
+    while lo < hi:
         for g in gen_arrays:
-            block = g[frontier]
-            for row in block:
-                key = row.tobytes()
+            block = g[rows[lo:hi]]
+            buf = block.tobytes()
+            fresh = []
+            for i in range(0, len(buf), width):
+                key = buf[i : i + width]
                 if key in seen:
                     continue
                 if len(seen) >= cap:
                     raise CapExceeded(cap)
                 seen.add(key)
-                row = row.copy()
-                rows.append(row)
-                fresh.append(row)
-        frontier = np.stack(fresh) if fresh else np.empty((0, degree), dtype=np.int64)
-    return np.stack(rows), seen
+                fresh.append(i // width)
+            if not fresh:
+                continue
+            end = count + len(fresh)
+            if end > rows.shape[0]:
+                grown = np.empty((min(cap, max(end, 2 * rows.shape[0])), degree), dtype=np.int64)
+                grown[:count] = rows[:count]
+                rows = grown
+            rows[count:end] = block[fresh]
+            count = end
+        lo, hi = hi, count
+    return rows[:count], seen
 
 
 def _lex_sorted(matrix: np.ndarray) -> np.ndarray:
@@ -278,6 +301,17 @@ def closure(generators: Iterable[Perm], cap: int) -> GroupClosure:
     return GroupClosure(elements, len(elements), gens, frozenset(seen))
 
 
+@lru_cache(maxsize=128)
+def _stabilizer_seed(keys: tuple[bytes, ...], degree: int, cap: int) -> frozenset:
+    """Keyset of the closure of the generators with these image keys.
+
+    A census cell's candidates share the generators that fix the base
+    vertex, so this closure is memoized; a closure that raises is not.
+    """
+    arrays = [np.frombuffer(key, dtype=np.int64) for key in keys]
+    return frozenset(_closure_raw(arrays, degree, cap)[1])
+
+
 def orbit_stabilizer(
     generators: Iterable[Perm], point: int, cap: int
 ) -> tuple[int, int]:
@@ -288,16 +322,17 @@ def orbit_stabilizer(
     v, the elements t_v * g * t_(v^g)^-1 over orbit points v and
     generators g generate the stabilizer.  Each one is tested for
     membership in the stabilizer found so far, which starts as the
-    closure of the generators that fix ``point``; a non-member is added
-    and the stabilizer closed again.  Only the stabilizer is ever listed.
-    Raises CapExceeded as soon as the group order must pass ``cap``,
-    exactly when ``closure(generators, cap)`` would.
+    (memoized) closure of the generators that fix ``point``; a non-member
+    is added and the stabilizer closed again.  Only the stabilizer is
+    ever listed.  Raises CapExceeded as soon as the group order must pass
+    ``cap``, exactly when ``closure(generators, cap)`` would: the
+    stabilizer may hold at most cap // |orbit| elements, and a proper
+    overgroup of the one found so far has at least twice its order.
     """
     gens = _checked_generators(generators, cap)
     degree = gens[0].degree
     if not 0 <= point < degree:
         raise ValueError(f"point {point} is outside 0..{degree - 1}")
-    stab_gens = [g.images for g in gens if g(point) == point]
 
     images = [g.images for g in gens]
     lists = [g.tolist() for g in images]
@@ -314,13 +349,12 @@ def orbit_stabilizer(
                 orbit.append(g[v])
     stab_cap = cap // len(orbit)
 
-    def close(arrays):
-        try:
-            return _closure_raw(arrays, degree, stab_cap)[1]
-        except CapExceeded:
-            raise CapExceeded(cap) from None
-
-    members = close(stab_gens)
+    fixing = [g for g in gens if g(point) == point]
+    try:
+        members = _stabilizer_seed(tuple(g.key for g in fixing), degree, stab_cap)
+    except CapExceeded:
+        raise CapExceeded(cap) from None
+    stab_gens = [g.images for g in fixing]
     # the same breadth-first search again, now carrying a transversal:
     # trans[w] takes point to w; a tree edge v -> v^g = w defines trans[w]
     # and every other edge gives the Schreier generator trans[v]*g*trans[w]^-1
@@ -337,9 +371,15 @@ def orbit_stabilizer(
                 trans_inv[w] = np.empty(degree, dtype=np.int64)
                 trans_inv[w][trans[w]] = np.arange(degree)
             schreier = trans_inv[w][moved]
-            if schreier.tobytes() not in members:
-                stab_gens.append(schreier)
-                members = close(stab_gens)
+            if schreier.tobytes() in members:
+                continue
+            if 2 * len(members) > stab_cap:
+                raise CapExceeded(cap)
+            stab_gens.append(schreier)
+            try:
+                members = _closure_raw(stab_gens, degree, stab_cap)[1]
+            except CapExceeded:
+                raise CapExceeded(cap) from None
     return len(orbit), len(members)
 
 

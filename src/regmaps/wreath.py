@@ -28,6 +28,7 @@ from .maps import (
     DEFAULT_BUDGET,
     AdmissibleTriple,
     MapInvariants,
+    _invariants_from,
     antipodal_cycle_triple,
     invariants,
     nonorientability_witness,
@@ -477,21 +478,32 @@ def _clique_action_fits(n: int, sigma0: Perm) -> bool:
     return target % order == 0
 
 
+@lru_cache(maxsize=None)
+def _fitting_sigma0s(n: int) -> tuple[Perm, ...]:
+    """The sigma_0 choices that pass the clique filter; they depend on n
+    alone, so every d shares one decision."""
+    return tuple(s for s in _sigma0_choices(n) if _clique_action_fits(n, s))
+
+
 def _base_edge_orbit_size(t: AdmissibleTriple) -> int:
     """Size of the orbit of the unordered vertex pair {0, e_0} = {0, 1}
     under the triple's group, by breadth-first search over pairs."""
     degree = t.degree
     gens = (t.lam.images, t.rho.images, t.tau.images)
     # the pair {a, b} with a < b is coded a * degree + b
-    seen = frontier = np.array([1], dtype=np.int64)
+    seen = np.zeros(degree * degree, dtype=bool)
+    seen[1] = True
+    frontier = np.array([1], dtype=np.int64)
     while frontier.size:
         a, b = np.divmod(frontier, degree)
         images = np.concatenate(
             [np.minimum(g[a], g[b]) * degree + np.maximum(g[a], g[b]) for g in gens]
         )
-        frontier = np.setdiff1d(images, seen)
-        seen = np.union1d(seen, frontier)
-    return int(seen.size)
+        images = images[~seen[images]]
+        images.sort()
+        frontier = images[np.flatnonzero(np.diff(images, prepend=-1))]
+        seen[frontier] = True
+    return int(np.count_nonzero(seen))
 
 
 def _evaluate_candidate(params: CanonicalTripleParams, target: int, max_witness_len: int):
@@ -529,7 +541,7 @@ def _evaluate_candidate(params: CanonicalTripleParams, target: int, max_witness_
     report = validate_admissible(t, cap=target)
     if not report.ok:
         return ("invalid", None)
-    inv = invariants(t, cap=target)
+    inv = _invariants_from(t, report, target)
     if inv.orientable:
         return ("orientable", None)
     wit = nonorientability_witness(t, max_witness_len)
@@ -603,7 +615,7 @@ def classify(
         )
 
     if clique_filter:
-        fitting = tuple(s for s in sigma0s if _clique_action_fits(n, s))
+        fitting = _fitting_sigma0s(n)
         stats.clique_rejected += (len(sigma0s) - len(fitting)) * per_sigma0
         sigma0s = fitting
     survivors = _candidates(d, n, shapes, sigma0s)

@@ -5,7 +5,9 @@ Schreier generators, and counts clique-rejected candidates from pool
 sizes without building them.  The oracles here are the closure pipeline
 it replaced, which lists the whole group and reads the order, the
 base-vertex stabilizer and the base-edge orbit off the element matrix,
-and the CellStats that pipeline produced.
+and the CellStats that pipeline produced.  The group is listed by
+``reference_closure``, the row-by-row closure loop that the block
+kernel ``perms._closure_raw`` replaced.
 """
 
 import dataclasses
@@ -24,6 +26,58 @@ from regmaps.wreath import (
 )
 
 
+def reference_closure(gen_arrays, degree, cap):
+    """Breadth-first closure over right multiplication by the generators,
+    one row at a time: (matrix, keyset) in discovery order, raising
+    CapExceeded as soon as the element count would pass ``cap``."""
+    ident = np.arange(degree, dtype=np.int64)
+    seen = {ident.tobytes()}
+    rows = [ident]
+    frontier = np.expand_dims(ident, 0)
+    while frontier.shape[0]:
+        fresh = []
+        for g in gen_arrays:
+            block = g[frontier]
+            for row in block:
+                key = row.tobytes()
+                if key in seen:
+                    continue
+                if len(seen) >= cap:
+                    raise CapExceeded(cap)
+                seen.add(key)
+                row = row.copy()
+                rows.append(row)
+                fresh.append(row)
+        frontier = np.stack(fresh) if fresh else np.empty((0, degree), dtype=np.int64)
+    return np.stack(rows), seen
+
+
+def test_closure_kernel_matches_the_row_by_row_reference():
+    rng = random.Random(41)
+    for _ in range(60):
+        degree = rng.randint(1, 7)
+        gens = []
+        for _ in range(rng.randint(1, 3)):
+            images = list(range(degree))
+            rng.shuffle(images)
+            gens.append(np.array(images, dtype=np.int64))
+        matrix, keys = reference_closure(gens, degree, cap=5040)
+        order = matrix.shape[0]
+        for cap in (order, order - 1, rng.randint(1, order + 5)):
+            if cap < 1:
+                continue
+            if cap < order:
+                # both raise on meeting element cap + 1 in discovery order
+                with pytest.raises(CapExceeded):
+                    reference_closure(gens, degree, cap)
+                with pytest.raises(CapExceeded):
+                    _closure_raw(gens, degree, cap)
+                continue
+            fast_matrix, fast_keys = _closure_raw(gens, degree, cap)
+            assert np.array_equal(fast_matrix, matrix)
+            assert fast_keys == keys
+
+
 # validation, orientability and invariants run on the listed group in both
 # pipelines, so a candidate that passes the order and graph checks is
 # compared only on having reached them
@@ -38,7 +92,7 @@ def closure_verdict(params, target):
     if not all(is_involution(g) for g in (t.lam, t.rho, t.tau)):
         return "precheck_rejected"
     try:
-        matrix, _ = _closure_raw([t.lam.images, t.rho.images, t.tau.images], t.degree, target)
+        matrix, _ = reference_closure([t.lam.images, t.rho.images, t.tau.images], t.degree, target)
     except CapExceeded:
         return "cap_exceeded"
     if matrix.shape[0] != target:

@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import regmaps
+from regmaps import cli, maps
 from regmaps.cli import main
 from regmaps.maps import format_triple
 from regmaps.wreath import classify, records_from_json
@@ -159,3 +165,37 @@ def test_over_budget_cell_exits_3_before_building(capsys):
     assert code == 3
     assert "candidate count 88865280 exceeds budget 1000000" in capsys.readouterr().err
     assert elapsed < 5
+
+
+def test_invariants_validates_the_triple_once(capsys, monkeypatch):
+    validated = []
+    validate = maps.validate_admissible
+
+    def recording_validate(t, cap=maps.DEFAULT_BUDGET):
+        validated.append(t)
+        return validate(t, cap)
+
+    monkeypatch.setattr(maps, "validate_admissible", recording_validate)
+    monkeypatch.setattr(cli, "validate_admissible", recording_validate)
+    code, out = run(capsys, "invariants", "--triple", "h22-octagon", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["invariants"]["genus"] == 1
+    assert len(validated) == 1
+
+
+def test_census_and_pgl29_never_load_numpy_ma():
+    # numpy imports numpy.ma lazily, from its unique-family set routines
+    code = (
+        "import sys\n"
+        "from regmaps.cli import main\n"
+        "from regmaps.wreath import verify_theorem\n"
+        "assert verify_theorem(3, 7, budget=100000).ok\n"
+        "assert main(['pgl29', '--verify']) == 0\n"
+        "assert 'numpy.ma' not in sys.modules, 'numpy.ma was loaded'\n"
+    )
+    src = str(Path(regmaps.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from regmaps import perms
 from regmaps.perms import (
     CapExceeded,
     Perm,
@@ -226,9 +227,16 @@ def _random_perm(rng, degree):
     return Perm(images)
 
 
+# S_4 from (1 2), which fixes 0, and the 4-cycle: at cap 8 the seed <(1 2)>
+# already has cap // |orbit| = 2 elements and a Schreier generator lies
+# outside it, so the group must overflow
+SEED_AT_CAP = ([Perm([0, 2, 1, 3]), Perm([1, 2, 3, 0])], 0, 8)
+
+
 def _random_generator_sets():
     """100 seeded (generators, point, cap) cases of degree at most 6;
-    some generators fix the point and seed the stabilizer."""
+    some generators fix the point and seed the stabilizer.  The last
+    case is SEED_AT_CAP."""
     rng = random.Random(29)
     for _ in range(100):
         degree = rng.randint(1, 6)
@@ -236,6 +244,7 @@ def _random_generator_sets():
         point = rng.randrange(degree)
         cap = rng.choice([1, 3, 8, 24, 120, 720])
         yield gens, point, cap
+    yield SEED_AT_CAP
 
 
 def test_orbit_stabilizer_agrees_with_closure():
@@ -261,3 +270,22 @@ def test_orbit_stabilizer_agrees_with_sympy():
         )
         assert orbit * stab == group.order()
         assert orbit == len(group.orbit(point))
+
+
+def test_orbit_stabilizer_raises_without_closing_past_a_full_seed(monkeypatch):
+    calls = []
+    close = perms._closure_raw
+
+    def counting_close(gen_arrays, degree, cap):
+        calls.append(cap)
+        return close(gen_arrays, degree, cap)
+
+    perms._stabilizer_seed.cache_clear()
+    monkeypatch.setattr(perms, "_closure_raw", counting_close)
+    with pytest.raises(CapExceeded):
+        orbit_stabilizer(*SEED_AT_CAP)
+    assert calls == [2]  # the seed alone, at cap 8 // |orbit| = 2
+    # the seed is memoized: asking again closes nothing
+    with pytest.raises(CapExceeded):
+        orbit_stabilizer(*SEED_AT_CAP)
+    assert calls == [2]

@@ -297,6 +297,39 @@ def test_classify_counts_rejected_candidates_without_building_them(monkeypatch):
     assert stats.candidates == 88_865_280 and stats.clique_rejected == 0
 
 
+def test_clique_filter_is_decided_once_per_n(monkeypatch):
+    # the filter reads only (n, sigma_0), so verify_theorem(3, 7) closes
+    # one clique group per sigma_0 of n = 3..7: 1 + 2 + 4 + 10 + 26
+    calls = []
+    fits = wreath._clique_action_fits
+
+    def counting_fits(n, sigma0):
+        calls.append((n, sigma0))
+        return fits(n, sigma0)
+
+    wreath._fitting_sigma0s.cache_clear()
+    monkeypatch.setattr(wreath, "_clique_action_fits", counting_fits)
+    report = verify_theorem(3, 7)
+    assert report.ok
+    assert len(calls) == len(set(calls)) == 43
+
+
+def test_each_census_candidate_is_validated_once(monkeypatch):
+    validated = []
+    validate = maps.validate_admissible
+
+    def recording_validate(t, cap=maps.DEFAULT_BUDGET):
+        validated.append(t)
+        return validate(t, cap)
+
+    monkeypatch.setattr(maps, "validate_admissible", recording_validate)
+    monkeypatch.setattr(wreath, "validate_admissible", recording_validate)
+    stats = CellStats()
+    assert len(classify(2, 6, stats=stats)) == 2
+    assert len(validated) == stats.invalid + stats.orientable + stats.kept + stats.deduped
+    assert len({id(t) for t in validated}) == len(validated)
+
+
 def test_classify_k3_special_cell():
     records = classify(1, 3)
     assert len(records) == 1
