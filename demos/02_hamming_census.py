@@ -23,7 +23,8 @@ print("\nclassifying H(2,6)...")
 stats = CellStats()
 records = classify(2, 6, stats=stats)
 print(f"  candidates {stats.candidates}, clique-filtered {stats.clique_rejected},")
-print(f"  closure/cap rejects {stats.cap_exceeded + stats.precheck_rejected}, kept {stats.kept}")
+print(f"  involution precheck rejects {stats.precheck_rejected} (counted, never built),")
+print(f"  group order over the cap {stats.cap_exceeded}, kept {stats.kept}")
 for rec in records:
     inv = rec.invariants
     sigma = ", ".join(str(s.cycles()) for s in rec.sigma)

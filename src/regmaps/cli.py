@@ -76,7 +76,6 @@ def cmd_classify(args) -> int:
         args.n,
         max_witness_len=args.max_witness_len,
         budget=args.budget,
-        workers=args.parallel,
     )
     if args.format == "json":
         _emit(records_to_json(records), args.output)
@@ -162,7 +161,6 @@ def cmd_verify_theorem(args) -> int:
         args.max_d,
         args.max_n,
         budget=args.budget,
-        workers=args.parallel,
         max_witness_len=args.max_witness_len,
     )
     if args.format == "json":
@@ -224,7 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--max-witness-len", type=_positive_int, default=DEFAULT_WITNESS_LEN)
-    p.add_argument("--parallel", type=_positive_int, default=1, help="worker processes")
     common(p)
     p.set_defaults(func=cmd_classify)
 
@@ -243,7 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-d", type=_positive_int, default=3)
     p.add_argument("--max-n", type=_int_at_least(3), default=7)
     p.add_argument("--max-witness-len", type=_positive_int, default=DEFAULT_WITNESS_LEN)
-    p.add_argument("--parallel", type=_positive_int, default=1, help="worker processes")
     common(p)
     p.set_defaults(func=cmd_verify_theorem)
 

@@ -5,10 +5,11 @@ of d copies of S_n acting coordinatewise, extended by S_d permuting the
 coordinate positions.  Every flag-regular embedding can be conjugated so
 that its triple takes a canonical shape parameterized by d permutations
 (sigma_0, ..., sigma_{d-1}) and an involution theta of the positions;
-``classify`` counts those parameters, streams the ones whose sigma_0
-passes the clique filter, keeps the candidates whose group is a
-flag-regular nonorientable map on H(d,n), and emits them as serializable
-census records.
+``classify`` counts those parameters, counts the ones that fail the
+clique filter or the involution precheck without building them, streams
+the rest, keeps the candidates whose group is a flag-regular
+nonorientable map on H(d,n), and emits them as serializable census
+records.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import multiprocessing
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Iterator, Optional, Sequence
@@ -35,9 +35,11 @@ from .maps import (
     validate_admissible,
 )
 from .perms import (
+    MAX_DEGREE,
     CapExceeded,
     GroupClosure,
     Perm,
+    _trusted,
     closure,
     element_order,
     evaluate_word,
@@ -136,6 +138,8 @@ def wreath_to_perm(w: WreathElem, d: int, n: int) -> Perm:
     """The induced permutation of the n^d mixed-radix vertex indices."""
     if w.d != d or w.n != n:
         raise ValueError(f"expected an element of S_{n} wr S_{d}")
+    if n**d > MAX_DEGREE:
+        raise ValueError(f"degree {n**d} exceeds the supported bound {MAX_DEGREE}")
     # y(v) = sum_i base_i[digit_i(v)] * n^top(i), built as an outer sum
     # over the digits, least significant first, so the flat index is v
     scales = n ** np.arange(d, dtype=np.int64)
@@ -143,7 +147,8 @@ def wreath_to_perm(w: WreathElem, d: int, n: int) -> Perm:
     for i in range(d):
         term = w.base[i].images * scales[w.top(i)]
         images = (term[:, None] + images).ravel()
-    return Perm(images)
+    # the base and top are checked permutations, so the images are one too
+    return _trusted(images)
 
 
 # ---------------------------------------------------------------------------
@@ -296,20 +301,25 @@ def _theta_shapes(d: int, theta_sweep: bool):
     return shapes
 
 
-def _candidates(d: int, n: int, shapes, sigma0s) -> Iterator[CanonicalTripleParams]:
-    """Stream the parameter tuples of the given shapes and sigma_0 choices
-    in lexicographic order; nothing is built before it is asked for, and
-    the sigma_i pools only once some sigma_0 is there to pair with them."""
+def _candidates(d: int, n: int, shapes, sigma0s, pool) -> Iterator[CanonicalTripleParams]:
+    """Stream the parameter tuples of the given shapes and sigma_0 choices,
+    with each slot's sigma_i drawn from ``pool(n, involutory)``, in
+    lexicographic order; nothing is built before it is asked for, and the
+    sigma_i pools only once some sigma_0 is there to pair with them."""
     for theta, slots in shapes:
         for sigma0 in sigma0s:
-            pools = [_fixing0_choices(n, involutory=(i == j)) for i, j in slots]
+            pools = [pool(n, i == j) for i, j in slots]
             for picks in itertools.product(*pools):
                 sigma: list[Optional[Perm]] = [None] * d
                 sigma[0] = sigma0
                 for (i, j), pick in zip(slots, picks):
                     sigma[i] = pick
                     sigma[j] = inverse(pick)
-                yield CanonicalTripleParams(d, n, tuple(sigma), theta)
+                # the pools meet every condition of __post_init__ by
+                # construction, so the tuple is built without re-checking
+                params = CanonicalTripleParams.__new__(CanonicalTripleParams)
+                params.__dict__.update(d=d, n=n, sigma=tuple(sigma), theta=theta)
+                yield params
 
 
 def enumerate_sigma_candidates(
@@ -324,7 +334,9 @@ def enumerate_sigma_candidates(
     """
     if d < 1 or n < 3:
         raise ValueError("requires d >= 1 and n >= 3")
-    yield from _candidates(d, n, _theta_shapes(d, theta_sweep), _sigma0_choices(n))
+    yield from _candidates(
+        d, n, _theta_shapes(d, theta_sweep), _sigma0_choices(n), _fixing0_choices
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -485,6 +497,36 @@ def _fitting_sigma0s(n: int) -> tuple[Perm, ...]:
     return tuple(s for s in _sigma0_choices(n) if _clique_action_fits(n, s))
 
 
+# With theta = beta_d, lam = L*tau has trivial top and base (sigma_0*tau_seed,
+# sigma_1*beta_n, ..., sigma_{d-1}*beta_n), so lam^2 = 1 exactly when every
+# base entry squares to the identity.  sigma_0*tau_seed sends 0 to 1, so lam
+# is never the identity.  sigma_i and its inverse sigma_{d-i} pass or fail
+# together, so the test is one per slot pick, and each pool is filtered once.
+
+
+def _squares_to_one(p: Perm, q: Perm) -> bool:
+    """(p*q)^2 = 1, the identity included."""
+    pq = q.images[p.images]
+    return bool(np.array_equal(pq[pq], np.arange(pq.size)))
+
+
+@lru_cache(maxsize=None)
+def _lam_involutory_sigma0s(sigma0s: tuple[Perm, ...]) -> tuple[Perm, ...]:
+    return tuple(s for s in sigma0s if _squares_to_one(s, tau_seed_perm(s.degree)))
+
+
+@lru_cache(maxsize=None)
+def _lam_involutory_picks(n: int, involutory: bool) -> tuple[Perm, ...]:
+    return tuple(s for s in _fixing0_choices(n, involutory) if _squares_to_one(s, beta_perm(n)))
+
+
+def _rho_tau_involutory(d: int, n: int) -> bool:
+    """The built precheck on the two generators every candidate of the
+    cell shares."""
+    tau = canonical_tau(d, n)
+    return is_involution(canonical_r(d, n) * tau) and is_involution(tau)
+
+
 def _base_edge_orbit_size(t: AdmissibleTriple) -> int:
     """Size of the orbit of the unordered vertex pair {0, e_0} = {0, 1}
     under the triple's group, by breadth-first search over pairs."""
@@ -548,10 +590,6 @@ def _evaluate_candidate(params: CanonicalTripleParams, target: int, max_witness_
     return ("kept", (inv, tuple(wit) if wit is not None else None))
 
 
-def _evaluate_for_pool(args):
-    return _evaluate_candidate(*args)
-
-
 def _k3_record(max_witness_len: int) -> MapRecord:
     # Only cell whose map group cannot be carried on the vertex set; see
     # MapRecord.triple.  Uniqueness is the classical complete-graph result.
@@ -571,7 +609,6 @@ def classify(
     *,
     max_witness_len: int = DEFAULT_WITNESS_LEN,
     budget: int = DEFAULT_BUDGET,
-    workers: int = 1,
     clique_filter: bool = True,
     theta_sweep: bool = False,
     stats: Optional[CellStats] = None,
@@ -581,15 +618,19 @@ def classify(
     Candidates are the canonical parameter tuples.  They are counted from
     the sizes of their parameter pools, and the count is checked against
     ``budget`` before any is built.  The clique filter depends on sigma_0
-    alone, so it is applied to the sigma_0 choices and only the tuples of
-    the choices that pass it are built, lazily.  Each of those is kept
-    iff its group has exactly the flag count 2d(n-1)n^d (decided from a
+    alone, so it is applied to the sigma_0 choices.  With theta = beta_d
+    the involution precheck on lam = L*tau splits into one test per
+    parameter, so it is applied to the sigma_0 choices and to each slot's
+    pool, and the tuples failing it are counted, not built; rho and tau
+    are checked once per cell (if they fail, every tuple is built and
+    prechecked, as with ``theta_sweep``).  Only the remaining tuples are
+    built, lazily and in lexicographic order.  Each of those is kept iff
+    its group has exactly the flag count 2d(n-1)n^d (decided from a
     vertex orbit and Schreier generators of the vertex stabilizer), the
     base-vertex stabilizer is <rho,tau>, the base-edge orbit is simple,
     the triple validates, and the map is nonorientable.  Isomorphic
     survivors are deduplicated and the result is sorted by (covalency,
-    petrie length, sigma), so output is deterministic and independent of
-    worker count.
+    petrie length, sigma), so output is deterministic.
     """
     if d < 1 or n < 3:
         raise ValueError("classify requires d >= 1 and n >= 3")
@@ -618,22 +659,21 @@ def classify(
         fitting = _fitting_sigma0s(n)
         stats.clique_rejected += (len(sigma0s) - len(fitting)) * per_sigma0
         sigma0s = fitting
-    survivors = _candidates(d, n, shapes, sigma0s)
-
-    if workers > 1:
-        survivors = list(survivors)
-        ctx = multiprocessing.get_context("fork")
-        jobs = [(p, target, max_witness_len) for p in survivors]
-        chunk = max(1, len(jobs) // (workers * 8))
-        with ctx.Pool(workers) as pool:
-            evaluated = zip(survivors, pool.map(_evaluate_for_pool, jobs, chunksize=chunk))
-    else:
-        evaluated = (
-            (p, _evaluate_candidate(p, target, max_witness_len)) for p in survivors
-        )
+    pool = _fixing0_choices
+    if sigma0s and not theta_sweep and _rho_tau_involutory(d, n):
+        # lam^2 = 1 is one test per parameter, so the tuples failing it
+        # are counted like the clique-rejected ones, from pool sizes; a
+        # pool is built only once some sigma_0 passes
+        pool = _lam_involutory_picks
+        passing = _lam_involutory_sigma0s(sigma0s)
+        [(_, slots)] = shapes
+        per_passing = math.prod(len(pool(n, i == j)) for i, j in slots) if passing else 0
+        stats.precheck_rejected += len(sigma0s) * per_sigma0 - len(passing) * per_passing
+        sigma0s = passing
 
     records: list[MapRecord] = []
-    for params, (reason, payload) in evaluated:
+    for params in _candidates(d, n, shapes, sigma0s, pool):
+        reason, payload = _evaluate_candidate(params, target, max_witness_len)
         if reason != "kept":
             setattr(stats, reason, getattr(stats, reason) + 1)
             continue
@@ -883,7 +923,6 @@ def verify_theorem(
     max_n: int = 7,
     *,
     budget: int = DEFAULT_BUDGET,
-    workers: int = 1,
     max_witness_len: int = DEFAULT_WITNESS_LEN,
 ) -> TheoremReport:
     """Run the census over 1 <= d <= max_d, 3 <= n <= max_n and compare
@@ -901,7 +940,6 @@ def verify_theorem(
                     classify(
                         d, n,
                         budget=budget,
-                        workers=workers,
                         max_witness_len=max_witness_len,
                         stats=stats,
                     )

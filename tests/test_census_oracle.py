@@ -1,16 +1,18 @@
 """The census fast paths against the slow exact paths they replace.
 
 ``classify`` decides a candidate's group order from a vertex orbit and
-Schreier generators, and counts clique-rejected candidates from pool
-sizes without building them.  The oracles here are the closure pipeline
-it replaced, which lists the whole group and reads the order, the
-base-vertex stabilizer and the base-edge orbit off the element matrix,
-and the CellStats that pipeline produced.  The group is listed by
+Schreier generators, and counts clique-rejected and precheck-rejected
+candidates from pool sizes without building them.  The oracles here are
+the closure pipeline it replaced, which lists the whole group and reads
+the order, the base-vertex stabilizer and the base-edge orbit off the
+element matrix, the involution precheck on the built generators, and
+the CellStats of the pipelines that built every candidate.  The group is listed by
 ``reference_closure``, the row-by-row closure loop that the block
 kernel ``perms._closure_raw`` replaced.
 """
 
 import dataclasses
+import itertools
 import random
 
 import numpy as np
@@ -18,8 +20,9 @@ import pytest
 
 from regmaps import wreath
 from regmaps.maps import AdmissibleTriple
-from regmaps.perms import CapExceeded, Perm, _closure_raw, closure, is_involution
+from regmaps.perms import CapExceeded, Perm, _closure_raw, closure, inverse, is_involution
 from regmaps.wreath import (
+    CanonicalTripleParams,
     CellStats,
     canonical_triple,
     classify,
@@ -113,10 +116,13 @@ def closure_edge_orbit_size(matrix):
     return int(np.unique(np.minimum(a, b) * degree + np.maximum(a, b)).size)
 
 
-# CellStats of the closure pipeline, which listed every candidate and
-# filtered each on its sigma_0; fields not named are 0.  (1,3) is left
-# out: classify answers it with a fixed record, without a search.
-CLOSURE_PIPELINE_STATS = {
+# CellStats of the pipelines that built every candidate: the closure
+# pipeline, which listed every candidate and filtered each on its sigma_0,
+# for the cells up to (4,4), and for (5,4), whose groups are too large to
+# list here, the Schreier pipeline that built every clique survivor and
+# prechecked it.  Fields not named are 0.  (1,3) is left out: classify
+# answers it with a fixed record, without a search.
+BUILT_PIPELINE_STATS = {
     (1, 4): dict(candidates=2, orientable=1, kept=1),
     (1, 5): dict(candidates=4, clique_rejected=4),
     (1, 6): dict(candidates=10, clique_rejected=8, kept=2),
@@ -133,10 +139,12 @@ CLOSURE_PIPELINE_STATS = {
     (3, 7): dict(candidates=18720, clique_rejected=18720),
     (4, 3): dict(candidates=4, cap_exceeded=3, kept=1),
     (4, 4): dict(candidates=48, precheck_rejected=32, cap_exceeded=15, kept=1),
+    (5, 4): dict(candidates=72, precheck_rejected=40, cap_exceeded=31, kept=1),
 }
+CLOSURE_CELLS = sorted(c for c in BUILT_PIPELINE_STATS if c != (5, 4))
 
 
-@pytest.mark.parametrize("d,n", sorted(CLOSURE_PIPELINE_STATS))
+@pytest.mark.parametrize("d,n", CLOSURE_CELLS)
 def test_fast_verdicts_and_stats_match_the_closure_oracle(d, n, monkeypatch):
     fast_evaluate = wreath._evaluate_candidate
     streamed = []
@@ -152,10 +160,108 @@ def test_fast_verdicts_and_stats_match_the_closure_oracle(d, n, monkeypatch):
     stats = CellStats()
     classify(d, n, stats=stats)
 
-    expected = dataclasses.asdict(CellStats(**CLOSURE_PIPELINE_STATS[(d, n)]))
+    expected = dataclasses.asdict(CellStats(**BUILT_PIPELINE_STATS[(d, n)]))
     assert dataclasses.asdict(stats) == expected
-    # each clique survivor was streamed to the verdicts exactly once
-    assert len(set(streamed)) == len(streamed) == stats.candidates - stats.clique_rejected
+    # each survivor of the clique filter and the counted precheck was
+    # streamed to the verdicts exactly once
+    assert len(set(streamed)) == len(streamed) == (
+        stats.candidates - stats.clique_rejected - stats.precheck_rejected
+    )
+
+
+def built_survivors(d, n, sigma0s):
+    """The tuples of the given sigma_0 choices with theta = beta_d, in
+    lexicographic order, each built through every check."""
+    [(theta, slots)] = wreath._theta_shapes(d, theta_sweep=False)
+    pools = [wreath._fixing0_choices(n, i == j) for i, j in slots]
+    for sigma0 in sigma0s:
+        for picks in itertools.product(*pools):
+            sigma = [sigma0] + [None] * (d - 1)
+            for (i, j), pick in zip(slots, picks):
+                sigma[i], sigma[j] = pick, inverse(pick)
+            yield CanonicalTripleParams(d, n, tuple(sigma), theta)
+
+
+# every fitting sigma_0 of n <= 9 passes the precheck, so the sigma_0 half
+# of the counted predicate rejects only with the clique filter off
+PRECHECK_CASES = [
+    (d, n, True) for d, n in sorted(BUILT_PIPELINE_STATS) if d <= 3 or (d, n) in ((4, 4), (5, 4))
+] + [(d, n, False) for d, n in ((1, 5), (1, 6), (1, 7), (2, 5), (2, 6), (3, 5))]
+
+
+@pytest.mark.parametrize("d,n,clique_filter", PRECHECK_CASES)
+def test_counted_precheck_matches_the_built_precheck(d, n, clique_filter, monkeypatch):
+    # every clique survivor, built at full degree, and checked with
+    # is_involution on lam, rho and tau
+    sigma0s = wreath._fitting_sigma0s(n) if clique_filter else wreath._sigma0_choices(n)
+    survivors = list(built_survivors(d, n, sigma0s))
+    passing = []
+    for params in survivors:
+        t = canonical_triple(params)
+        if all(is_involution(g) for g in (t.lam, t.rho, t.tau)):
+            passing.append(params)
+
+    fast_evaluate = wreath._evaluate_candidate
+    streamed = []
+
+    def recording_evaluate(params, target, max_witness_len):
+        streamed.append(params)
+        return fast_evaluate(params, target, max_witness_len)
+
+    monkeypatch.setattr(wreath, "_evaluate_candidate", recording_evaluate)
+    stats = CellStats()
+    classify(d, n, clique_filter=clique_filter, stats=stats)
+
+    # the counted predicate streams exactly the survivors the built
+    # precheck passes, in lexicographic order, and counts the rest
+    assert streamed == passing
+    assert stats.precheck_rejected == len(survivors) - len(passing)
+    if clique_filter:
+        expected = dataclasses.asdict(CellStats(**BUILT_PIPELINE_STATS[(d, n)]))
+        assert dataclasses.asdict(stats) == expected
+
+
+def counting_builds(monkeypatch):
+    built = []
+    build = wreath.canonical_triple
+
+    def counting_build(params):
+        built.append(params)
+        return build(params)
+
+    monkeypatch.setattr(wreath, "canonical_triple", counting_build)
+    return built
+
+
+def test_precheck_rejected_candidates_are_never_built(monkeypatch):
+    built = counting_builds(monkeypatch)
+    classify(3, 6)
+    # 1,200 candidates: 960 clique-rejected and 188 precheck-rejected are
+    # counted, and only the 52 cap_exceeded ones are built
+    assert len(built) == 52
+    built.clear()
+    classify(3, 7)
+    assert built == []
+
+
+def test_failed_rho_tau_check_builds_every_survivor(monkeypatch):
+    checked = []
+
+    def failing_check(d, n):
+        checked.append((d, n))
+        return False
+
+    monkeypatch.setattr(wreath, "_rho_tau_involutory", failing_check)
+    built = counting_builds(monkeypatch)
+    stats = CellStats()
+    classify(3, 6, stats=stats)
+    assert len(built) == 240
+    expected = CellStats(**BUILT_PIPELINE_STATS[(3, 6)])
+    assert dataclasses.asdict(stats) == dataclasses.asdict(expected)
+    # cells with no clique survivor never reach the check
+    classify(3, 5)
+    classify(3, 7)
+    assert checked == [(3, 6)]
 
 
 def test_base_edge_orbit_matches_the_listed_group():

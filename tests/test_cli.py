@@ -131,7 +131,7 @@ def test_bad_budget_env_exits_2_with_message(capsys, monkeypatch):
     assert "error:" in err and "'abc'" in err
 
 
-@pytest.mark.parametrize("flag", ["--budget", "--parallel"])
+@pytest.mark.parametrize("flag", ["--budget"])
 def test_non_positive_budget_or_workers_exit_2(capsys, flag):
     with pytest.raises(SystemExit) as exc:
         main(["classify", "--d", "1", "--n", "4", flag, "0"])

@@ -186,6 +186,21 @@ def test_enumerate_deterministic():
     assert first == second
 
 
+@pytest.mark.parametrize("d,n", [(3, 6), (4, 4), (5, 3)])
+def test_streamed_tuples_pass_the_checks_they_skip(d, n):
+    # streamed tuples are built without __post_init__; every one of them,
+    # theta sweep included, passes it when rebuilt through the checks
+    for params in enumerate_sigma_candidates(d, n, theta_sweep=True):
+        assert CanonicalTripleParams(d, n, params.sigma, params.theta) == params
+
+
+def test_wreath_to_perm_keeps_the_degree_bound():
+    # 17^4 = 83,521 points: refused before the image array is built
+    w = WreathElem(tuple(identity(17) for _ in range(4)), identity(4))
+    with pytest.raises(ValueError, match="exceeds the supported bound"):
+        wreath_to_perm(w, 4, 17)
+
+
 def test_canonical_closure_order_h26():
     # sigma_0 = (0 1)(3 4), sigma_1 = (1 4)(2 5)
     params = CanonicalTripleParams(
@@ -253,12 +268,6 @@ def test_classify_clique_filter_is_transparent():
 def test_classify_full_theta_sweep_agrees():
     # d=3 is the smallest case where the sweep adds a second theta
     assert classify(3, 3, theta_sweep=True) == classify(3, 3)
-
-
-def test_classify_parallel_matches_serial():
-    serial = classify(2, 6)
-    parallel = classify(2, 6, workers=2)
-    assert records_to_json(serial) == records_to_json(parallel)
 
 
 def test_classify_budget():
