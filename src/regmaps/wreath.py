@@ -662,12 +662,11 @@ def classify(
     pool = _fixing0_choices
     if sigma0s and not theta_sweep and _rho_tau_involutory(d, n):
         # lam^2 = 1 is one test per parameter, so the tuples failing it
-        # are counted like the clique-rejected ones, from pool sizes; a
-        # pool is built only once some sigma_0 passes
+        # are counted like the clique-rejected ones, from pool sizes
         pool = _lam_involutory_picks
         passing = _lam_involutory_sigma0s(sigma0s)
         [(_, slots)] = shapes
-        per_passing = math.prod(len(pool(n, i == j)) for i, j in slots) if passing else 0
+        per_passing = math.prod(len(pool(n, i == j)) for i, j in slots)
         stats.precheck_rejected += len(sigma0s) * per_sigma0 - len(passing) * per_passing
         sigma0s = passing
 

@@ -5,10 +5,10 @@ Schreier generators, and counts clique-rejected and precheck-rejected
 candidates from pool sizes without building them.  The oracles here are
 the closure pipeline it replaced, which lists the whole group and reads
 the order, the base-vertex stabilizer and the base-edge orbit off the
-element matrix, the involution precheck on the built generators, and
-the CellStats of the pipelines that built every candidate.  The group is listed by
-``reference_closure``, the row-by-row closure loop that the block
-kernel ``perms._closure_raw`` replaced.
+element matrix; the involution precheck on the built generators; and
+the CellStats of the pipelines that built every candidate.  The group
+is listed by ``reference_closure``, the row-by-row closure loop that the
+block kernel ``perms._closure_raw`` replaced.
 """
 
 import dataclasses
@@ -191,8 +191,8 @@ PRECHECK_CASES = [
 
 @pytest.mark.parametrize("d,n,clique_filter", PRECHECK_CASES)
 def test_counted_precheck_matches_the_built_precheck(d, n, clique_filter, monkeypatch):
-    # every clique survivor, built at full degree, and checked with
-    # is_involution on lam, rho and tau
+    # every clique survivor (every tuple, with the filter off), built at
+    # full degree and checked with is_involution on lam, rho and tau
     sigma0s = wreath._fitting_sigma0s(n) if clique_filter else wreath._sigma0_choices(n)
     survivors = list(built_survivors(d, n, sigma0s))
     passing = []
