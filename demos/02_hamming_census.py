@@ -3,9 +3,10 @@
 Candidates come from a canonical form: after conjugating inside
 Aut(H(d,n)) = S_n wr S_d, the vertex rotation and tau are pinned down and
 only the parameters (sigma_0, ..., sigma_{d-1}) remain.  The classifier
-walks all of them, keeps the flag-regular nonorientable survivors, and
-the resulting table has nonempty cells exactly at n=2 (d=2), n=3 and 4
-(all d), and n=6 (d=1, 2).
+counts all of them, builds only those that pass the clique filter and
+the involution precheck, keeps the flag-regular nonorientable survivors,
+and the resulting table has nonempty cells exactly at n=2 (d=2), n=3
+and 4 (all d), and n=6 (d=1, 2).
 """
 
 import time

@@ -4,12 +4,12 @@ The automorphism group of H(d,n) is the wreath product S_n wr S_d: a base
 of d copies of S_n acting coordinatewise, extended by S_d permuting the
 coordinate positions.  Every flag-regular embedding can be conjugated so
 that its triple takes a canonical shape parameterized by d permutations
-(sigma_0, ..., sigma_{d-1}) and an involution theta of the positions;
-``classify`` counts those parameters, counts the ones that fail the
-clique filter or the involution precheck without building them, streams
-the rest, keeps the candidates whose group is a flag-regular
-nonorientable map on H(d,n), and emits them as serializable census
-records.
+(sigma_0, ..., sigma_{d-1}) and an involution theta of the positions, and
+a nonorientable one has theta = beta_d.  ``classify`` counts the tuples
+of that shape, counts the ones that fail the clique filter or the
+involution precheck without building them, streams the rest, keeps the
+candidates whose group is a flag-regular nonorientable map on H(d,n),
+and emits them as serializable census records.
 """
 
 from __future__ import annotations
@@ -115,23 +115,6 @@ class WreathElem:
     @property
     def n(self) -> int:
         return self.base[0].degree
-
-    def __mul__(self, other: "WreathElem") -> "WreathElem":
-        if self.d != other.d or self.n != other.n:
-            raise ValueError("wreath elements from different groups")
-        base = tuple(
-            self.base[i] * other.base[self.top(i)] for i in range(self.d)
-        )
-        return WreathElem(base, self.top * other.top)
-
-    def inverse(self) -> "WreathElem":
-        top_inv = inverse(self.top)
-        base = tuple(inverse(self.base[top_inv(j)]) for j in range(self.d))
-        return WreathElem(base, top_inv)
-
-
-def identity_wreath(d: int, n: int) -> WreathElem:
-    return WreathElem(tuple(identity(n) for _ in range(d)), identity(d))
 
 
 def wreath_to_perm(w: WreathElem, d: int, n: int) -> Perm:
@@ -265,10 +248,6 @@ def _fixing0_choices(n: int, involutory: bool) -> tuple[Perm, ...]:
     return _perms_with_prefix(n, (0,), involutory)
 
 
-def _theta_choices(d: int) -> tuple[Perm, ...]:
-    return _perms_with_prefix(d, (0,), involutory=True)
-
-
 def _fixing0_count(n: int, involutory: bool) -> int:
     """len(_fixing0_choices(n, involutory)), counted without building the
     pool: (n-1)! permutations of the points 1..n-1, of which I(n-1) square
@@ -282,61 +261,41 @@ def _fixing0_count(n: int, involutory: bool) -> int:
     return cur
 
 
-def _theta_shapes(d: int, theta_sweep: bool):
-    """(theta, slots) per theta: the orbits {i, i^theta} of theta on
-    positions 1..d-1.  Slot (i, j) takes a sigma_i fixing 0, which must be
-    an involution when i == j; sigma_j is then its inverse."""
-    thetas = _theta_choices(d) if theta_sweep else (beta_perm(d),)
-    shapes = []
-    for theta in thetas:
-        slots: list[tuple[int, int]] = []
-        done = set()
-        for i in range(1, d):
-            if i in done:
-                continue
-            j = theta(i)
-            done.update((i, j))
-            slots.append((i, j))
-        shapes.append((theta, slots))
-    return shapes
+def _slots(d: int) -> tuple[tuple[int, int], ...]:
+    """The orbits {i, d-i} of beta_d on positions 1..d-1, as (i, d-i) with
+    i <= d-i.  Slot (i, j) takes a sigma_i fixing 0, which must be an
+    involution when i == j; sigma_j is then its inverse."""
+    return tuple((i, d - i) for i in range(1, d // 2 + 1))
 
 
-def _candidates(d: int, n: int, shapes, sigma0s, pool) -> Iterator[CanonicalTripleParams]:
-    """Stream the parameter tuples of the given shapes and sigma_0 choices,
-    with each slot's sigma_i drawn from ``pool(n, involutory)``, in
-    lexicographic order; nothing is built before it is asked for, and the
-    sigma_i pools only once some sigma_0 is there to pair with them."""
-    for theta, slots in shapes:
-        for sigma0 in sigma0s:
-            pools = [pool(n, i == j) for i, j in slots]
-            for picks in itertools.product(*pools):
-                sigma: list[Optional[Perm]] = [None] * d
-                sigma[0] = sigma0
-                for (i, j), pick in zip(slots, picks):
-                    sigma[i] = pick
-                    sigma[j] = inverse(pick)
-                # the pools meet every condition of __post_init__ by
-                # construction, so the tuple is built without re-checking
-                params = CanonicalTripleParams.__new__(CanonicalTripleParams)
-                params.__dict__.update(d=d, n=n, sigma=tuple(sigma), theta=theta)
-                yield params
+def _candidates(d: int, n: int, sigma0s, pools) -> Iterator[CanonicalTripleParams]:
+    """Stream the parameter tuples with theta = beta_d of the given sigma_0
+    choices, with the sigma_i of slot k of ``_slots(d)`` drawn from
+    ``pools[k]``, in lexicographic order; nothing is built before it is
+    asked for."""
+    theta = beta_perm(d)
+    slots = _slots(d)
+    for sigma0 in sigma0s:
+        for picks in itertools.product(*pools):
+            sigma: list[Optional[Perm]] = [None] * d
+            sigma[0] = sigma0
+            for (i, j), pick in zip(slots, picks):
+                sigma[i] = pick
+                sigma[j] = inverse(pick)
+            # the pools meet every condition of __post_init__ by
+            # construction, so the tuple is built without re-checking
+            params = CanonicalTripleParams.__new__(CanonicalTripleParams)
+            params.__dict__.update(d=d, n=n, sigma=tuple(sigma), theta=theta)
+            yield params
 
 
-def enumerate_sigma_candidates(
-    d: int, n: int, theta_sweep: bool = False
-) -> Iterator[CanonicalTripleParams]:
-    """All parameter tuples in deterministic lexicographic order.
-
-    By default theta is pinned to beta_d, which is the only shape a
-    nonorientable triple can take; ``theta_sweep`` additionally walks every
-    involutory theta fixing 0, for cross-checking that the restriction
-    loses nothing.
-    """
+def enumerate_sigma_candidates(d: int, n: int) -> Iterator[CanonicalTripleParams]:
+    """All parameter tuples with theta = beta_d, the only shape a
+    nonorientable triple can take, in deterministic lexicographic order."""
     if d < 1 or n < 3:
         raise ValueError("requires d >= 1 and n >= 3")
-    yield from _candidates(
-        d, n, _theta_shapes(d, theta_sweep), _sigma0_choices(n), _fixing0_choices
-    )
+    pools = [_fixing0_choices(n, i == j) for i, j in _slots(d)]
+    yield from _candidates(d, n, _sigma0_choices(n), pools)
 
 
 # ---------------------------------------------------------------------------
@@ -355,6 +314,11 @@ CENSUS_NOTES = {
     (2, 6, 10, 10, 8): "N110.7",
     (2, 6, 8, 10, 10): "N101.8",
 }
+
+# The (1,3) record is carried on the hexagon (see MapRecord.triple), so its
+# triple ignores these parameters; they are fixed to tell the record apart.
+K3_SIGMA = (Perm([1, 0, 2]),)
+K3_THETA = identity(1)
 
 
 @dataclass(frozen=True)
@@ -444,6 +408,8 @@ def records_from_json(text: str, validate: bool = True) -> list[MapRecord]:
 
 
 def _revalidate_record(rec: MapRecord) -> None:
+    if (rec.d, rec.n) == (1, 3) and (rec.sigma, rec.theta) != (K3_SIGMA, K3_THETA):
+        raise ValueError("the (1,3) record carries fixed sigma and theta")
     t = rec.triple()
     expected_order = 2 * rec.d * (rec.n - 1) * rec.n**rec.d
     if rec.invariants.group_order != expected_order:
@@ -549,7 +515,8 @@ def _base_edge_orbit_size(t: AdmissibleTriple) -> int:
 
 
 def _evaluate_candidate(params: CanonicalTripleParams, target: int, max_witness_len: int):
-    """Run one candidate through the full pipeline.
+    """Run one candidate that passed the involution precheck through the
+    rest of the pipeline.
 
     Returns (reason, payload) where reason is a CellStats field name and
     payload is (invariants, witness) for kept candidates.  No group is
@@ -559,9 +526,6 @@ def _evaluate_candidate(params: CanonicalTripleParams, target: int, max_witness_
     """
     d, n = params.d, params.n
     t = canonical_triple(params)
-    if not all(is_involution(g) for g in (t.lam, t.rho, t.tau)):
-        return ("precheck_rejected", None)
-
     try:
         orbit, stab = t.orbit_stabilizer(target)
     except CapExceeded:
@@ -598,8 +562,7 @@ def _k3_record(max_witness_len: int) -> MapRecord:
     wit = nonorientability_witness(t, max_witness_len)
     note = CENSUS_NOTES.get((1, 3) + inv.type_triple)
     return MapRecord(
-        1, 3, (Perm([1, 0, 2]),), identity(1), inv,
-        tuple(wit) if wit is not None else None, note,
+        1, 3, K3_SIGMA, K3_THETA, inv, tuple(wit) if wit is not None else None, note
     )
 
 
@@ -609,21 +572,19 @@ def classify(
     *,
     max_witness_len: int = DEFAULT_WITNESS_LEN,
     budget: int = DEFAULT_BUDGET,
-    clique_filter: bool = True,
-    theta_sweep: bool = False,
     stats: Optional[CellStats] = None,
 ) -> list[MapRecord]:
     """All nonorientable regular embeddings of H(d,n), as census records.
 
-    Candidates are the canonical parameter tuples.  They are counted from
-    the sizes of their parameter pools, and the count is checked against
-    ``budget`` before any is built.  The clique filter depends on sigma_0
-    alone, so it is applied to the sigma_0 choices.  With theta = beta_d
-    the involution precheck on lam = L*tau splits into one test per
-    parameter, so it is applied to the sigma_0 choices and to each slot's
-    pool, and the tuples failing it are counted, not built; rho and tau
-    are checked once per cell (if they fail, every tuple is built and
-    prechecked, as with ``theta_sweep``).  Only the remaining tuples are
+    Candidates are the canonical parameter tuples with theta = beta_d.
+    They are counted from the sizes of their parameter pools, and the
+    count is checked against ``budget`` before any is built.  The clique
+    filter depends on sigma_0 alone, so it is applied to the sigma_0
+    choices.  The involution precheck on lam = L*tau splits into one test
+    per parameter, so it is applied to the sigma_0 choices and to each
+    slot's pool, and the tuples failing it are counted, not built; rho and
+    tau are shared by the cell and checked once (if they fail, every
+    clique survivor fails the precheck).  Only the remaining tuples are
     built, lazily and in lexicographic order.  Each of those is kept iff
     its group has exactly the flag count 2d(n-1)n^d (decided from a
     vertex orbit and Schreier generators of the vertex stabilizer), the
@@ -644,34 +605,29 @@ def classify(
     target = 2 * d * (n - 1) * n**d
     if target > budget:
         raise BudgetExceeded(f"group order cap {target} exceeds budget {budget}")
-    shapes = _theta_shapes(d, theta_sweep)
-    sigma0s = _sigma0_choices(n)
-    per_sigma0 = sum(
-        math.prod(_fixing0_count(n, i == j) for i, j in slots) for _, slots in shapes
-    )
-    stats.candidates = len(sigma0s) * per_sigma0
+    slots = _slots(d)
+    per_sigma0 = math.prod(_fixing0_count(n, i == j) for i, j in slots)
+    stats.candidates = len(_sigma0_choices(n)) * per_sigma0
     if stats.candidates > budget:
         raise BudgetExceeded(
             f"candidate count {stats.candidates} exceeds budget {budget}"
         )
 
-    if clique_filter:
-        fitting = _fitting_sigma0s(n)
-        stats.clique_rejected += (len(sigma0s) - len(fitting)) * per_sigma0
-        sigma0s = fitting
-    pool = _fixing0_choices
-    if sigma0s and not theta_sweep and _rho_tau_involutory(d, n):
-        # lam^2 = 1 is one test per parameter, so the tuples failing it
-        # are counted like the clique-rejected ones, from pool sizes
-        pool = _lam_involutory_picks
-        passing = _lam_involutory_sigma0s(sigma0s)
-        [(_, slots)] = shapes
-        per_passing = math.prod(len(pool(n, i == j)) for i, j in slots)
-        stats.precheck_rejected += len(sigma0s) * per_sigma0 - len(passing) * per_passing
-        sigma0s = passing
+    fitting = _fitting_sigma0s(n)
+    stats.clique_rejected += stats.candidates - len(fitting) * per_sigma0
+    # lam^2 = 1 is one test per parameter, so the tuples failing it are
+    # counted like the clique-rejected ones, from pool sizes; a cell with
+    # no clique survivor never checks rho and tau or builds a pool
+    sigma0s: tuple[Perm, ...] = ()
+    pools: list[tuple[Perm, ...]] = []
+    if fitting and _rho_tau_involutory(d, n):
+        sigma0s = _lam_involutory_sigma0s(fitting)
+        pools = [_lam_involutory_picks(n, i == j) for i, j in slots]
+    passing = len(sigma0s) * math.prod(len(pool) for pool in pools)
+    stats.precheck_rejected += len(fitting) * per_sigma0 - passing
 
     records: list[MapRecord] = []
-    for params in _candidates(d, n, shapes, sigma0s, pool):
+    for params in _candidates(d, n, sigma0s, pools):
         reason, payload = _evaluate_candidate(params, target, max_witness_len)
         if reason != "kept":
             setattr(stats, reason, getattr(stats, reason) + 1)

@@ -24,6 +24,7 @@ from regmaps.perms import CapExceeded, Perm, _closure_raw, closure, inverse, is_
 from regmaps.wreath import (
     CanonicalTripleParams,
     CellStats,
+    beta_perm,
     canonical_triple,
     classify,
 )
@@ -172,18 +173,19 @@ def test_fast_verdicts_and_stats_match_the_closure_oracle(d, n, monkeypatch):
 def built_survivors(d, n, sigma0s):
     """The tuples of the given sigma_0 choices with theta = beta_d, in
     lexicographic order, each built through every check."""
-    [(theta, slots)] = wreath._theta_shapes(d, theta_sweep=False)
+    slots = wreath._slots(d)
     pools = [wreath._fixing0_choices(n, i == j) for i, j in slots]
     for sigma0 in sigma0s:
         for picks in itertools.product(*pools):
             sigma = [sigma0] + [None] * (d - 1)
             for (i, j), pick in zip(slots, picks):
                 sigma[i], sigma[j] = pick, inverse(pick)
-            yield CanonicalTripleParams(d, n, tuple(sigma), theta)
+            yield CanonicalTripleParams(d, n, tuple(sigma), beta_perm(d))
 
 
 # every fitting sigma_0 of n <= 9 passes the precheck, so the sigma_0 half
-# of the counted predicate rejects only with the clique filter off
+# of the counted predicate rejects only with the clique filter off, which
+# the cases with clique_filter False get by passing every sigma_0 on
 PRECHECK_CASES = [
     (d, n, True) for d, n in sorted(BUILT_PIPELINE_STATS) if d <= 3 or (d, n) in ((4, 4), (5, 4))
 ] + [(d, n, False) for d, n in ((1, 5), (1, 6), (1, 7), (2, 5), (2, 6), (3, 5))]
@@ -193,7 +195,9 @@ PRECHECK_CASES = [
 def test_counted_precheck_matches_the_built_precheck(d, n, clique_filter, monkeypatch):
     # every clique survivor (every tuple, with the filter off), built at
     # full degree and checked with is_involution on lam, rho and tau
-    sigma0s = wreath._fitting_sigma0s(n) if clique_filter else wreath._sigma0_choices(n)
+    if not clique_filter:
+        monkeypatch.setattr(wreath, "_fitting_sigma0s", wreath._sigma0_choices)
+    sigma0s = wreath._fitting_sigma0s(n)
     survivors = list(built_survivors(d, n, sigma0s))
     passing = []
     for params in survivors:
@@ -210,7 +214,7 @@ def test_counted_precheck_matches_the_built_precheck(d, n, clique_filter, monkey
 
     monkeypatch.setattr(wreath, "_evaluate_candidate", recording_evaluate)
     stats = CellStats()
-    classify(d, n, clique_filter=clique_filter, stats=stats)
+    classify(d, n, stats=stats)
 
     # the counted predicate streams exactly the survivors the built
     # precheck passes, in lexicographic order, and counts the rest
@@ -244,7 +248,9 @@ def test_precheck_rejected_candidates_are_never_built(monkeypatch):
     assert built == []
 
 
-def test_failed_rho_tau_check_builds_every_survivor(monkeypatch):
+def test_failed_rho_tau_check_counts_every_survivor_without_building(monkeypatch):
+    # rho and tau are shared by the cell, so if either is not an involution
+    # every clique survivor fails the built precheck
     checked = []
 
     def failing_check(d, n):
@@ -254,9 +260,9 @@ def test_failed_rho_tau_check_builds_every_survivor(monkeypatch):
     monkeypatch.setattr(wreath, "_rho_tau_involutory", failing_check)
     built = counting_builds(monkeypatch)
     stats = CellStats()
-    classify(3, 6, stats=stats)
-    assert len(built) == 240
-    expected = CellStats(**BUILT_PIPELINE_STATS[(3, 6)])
+    assert classify(3, 6, stats=stats) == []
+    assert built == []
+    expected = CellStats(candidates=1200, clique_rejected=960, precheck_rejected=240)
     assert dataclasses.asdict(stats) == dataclasses.asdict(expected)
     # cells with no clique survivor never reach the check
     classify(3, 5)

@@ -8,7 +8,16 @@ import pytest
 from regmaps import maps, wreath
 from regmaps.graphs import hamming
 from regmaps.maps import clique_submap, invariants, petrie_dual
-from regmaps.perms import Perm, closure, compose, contains, identity, inverse, subgroup_index
+from regmaps.perms import (
+    Perm,
+    closure,
+    compose,
+    contains,
+    identity,
+    inverse,
+    is_involution,
+    subgroup_index,
+)
 from regmaps.wreath import (
     BudgetExceeded,
     CanonicalTripleParams,
@@ -37,6 +46,23 @@ from regmaps.wreath import (
 ROOT = Path(__file__).resolve().parent.parent
 
 
+# the group law of S_n wr S_d, the spec that wreath_to_perm must respect
+
+
+def wreath_mul(a, b):
+    base = tuple(a.base[i] * b.base[a.top(i)] for i in range(a.d))
+    return WreathElem(base, a.top * b.top)
+
+
+def wreath_inverse(w):
+    top_inv = inverse(w.top)
+    return WreathElem(tuple(inverse(w.base[top_inv(j)]) for j in range(w.d)), top_inv)
+
+
+def identity_wreath(d, n):
+    return WreathElem(tuple(identity(n) for _ in range(d)), identity(d))
+
+
 def wreath_image_oracle(w, d, n, v):
     # recompute the action digit by digit, independently of wreath_to_perm
     digits = [(v // n**i) % n for i in range(d)]
@@ -56,8 +82,7 @@ def random_wreath(rng, d, n):
 
 
 def test_wreath_identity():
-    w = WreathElem((identity(3), identity(3)), identity(2))
-    assert wreath_to_perm(w, 2, 3) == identity(9)
+    assert wreath_to_perm(identity_wreath(2, 3), 2, 3) == identity(9)
 
 
 def test_wreath_coordinate_swap():
@@ -75,7 +100,7 @@ def test_wreath_to_perm_is_homomorphism():
         for _ in range(50):
             w1 = random_wreath(rng, d, n)
             w2 = random_wreath(rng, d, n)
-            lhs = wreath_to_perm(w1 * w2, d, n)
+            lhs = wreath_to_perm(wreath_mul(w1, w2), d, n)
             rhs = compose(wreath_to_perm(w1, d, n), wreath_to_perm(w2, d, n))
             assert lhs == rhs
 
@@ -95,7 +120,9 @@ def test_wreath_inverse():
     rng = random.Random(9)
     for _ in range(20):
         w = random_wreath(rng, 3, 4)
-        assert wreath_to_perm(w * w.inverse(), 3, 4) == identity(64)
+        product = wreath_mul(w, wreath_inverse(w))
+        assert product == identity_wreath(3, 4)
+        assert wreath_to_perm(product, 3, 4) == identity(64)
 
 
 def test_canonical_tau_small_cases():
@@ -188,10 +215,14 @@ def test_enumerate_deterministic():
 
 @pytest.mark.parametrize("d,n", [(3, 6), (4, 4), (5, 3)])
 def test_streamed_tuples_pass_the_checks_they_skip(d, n):
-    # streamed tuples are built without __post_init__; every one of them,
-    # theta sweep included, passes it when rebuilt through the checks
-    for params in enumerate_sigma_candidates(d, n, theta_sweep=True):
+    # streamed tuples are built without __post_init__; every one of them
+    # passes it when rebuilt through the checks, and they come in strictly
+    # increasing lexicographic order of sigma
+    keys = []
+    for params in enumerate_sigma_candidates(d, n):
         assert CanonicalTripleParams(d, n, params.sigma, params.theta) == params
+        keys.append(tuple(tuple(int(x) for x in s.images) for s in params.sigma))
+    assert all(a < b for a, b in zip(keys, keys[1:]))
 
 
 def test_wreath_to_perm_keeps_the_degree_bound():
@@ -258,16 +289,41 @@ def test_classify_group_orders_match_flag_count():
             assert rec.invariants.group_order == 2 * d * (n - 1) * n**d
 
 
-def test_classify_clique_filter_is_transparent():
-    baseline = classify(2, 5, clique_filter=False)
-    assert baseline == classify(2, 5) == []
-    assert classify(2, 4, clique_filter=False) == classify(2, 4)
-    assert classify(1, 6, clique_filter=False) == classify(1, 6)
+def test_classify_clique_filter_is_transparent(monkeypatch):
+    cells = ((2, 5), (2, 4), (1, 6))
+    filtered = {cell: classify(*cell) for cell in cells}
+    assert filtered[(2, 5)] == []
+    # with the filter off, every sigma_0 choice is passed on
+    monkeypatch.setattr(wreath, "_fitting_sigma0s", wreath._sigma0_choices)
+    for cell in cells:
+        assert classify(*cell) == filtered[cell]
 
 
-def test_classify_full_theta_sweep_agrees():
-    # d=3 is the smallest case where the sweep adds a second theta
-    assert classify(3, 3, theta_sweep=True) == classify(3, 3)
+@pytest.mark.parametrize("d,n", [(3, 3), (3, 4), (4, 3), (4, 4), (5, 3), (3, 6)])
+def test_no_other_theta_gives_a_nonorientable_map(d, n):
+    # classify pins theta to beta_d; every other involutory theta fixing 0,
+    # with every sigma_0 and every slot pick, is built through the checks,
+    # prechecked, and run through the rest of the pipeline
+    target = 2 * d * (n - 1) * n**d
+    reasons = []
+    for theta in wreath._perms_with_prefix(d, (0,), involutory=True):
+        if theta == beta_perm(d):
+            continue
+        slots = sorted({(min(i, theta(i)), max(i, theta(i))) for i in range(1, d)})
+        pools = [wreath._fixing0_choices(n, i == j) for i, j in slots]
+        for sigma0 in wreath._sigma0_choices(n):
+            for picks in itertools.product(*pools):
+                sigma = [sigma0] + [None] * (d - 1)
+                for (i, j), pick in zip(slots, picks):
+                    sigma[i], sigma[j] = pick, inverse(pick)
+                params = CanonicalTripleParams(d, n, tuple(sigma), theta)
+                t = canonical_triple(params)
+                if all(is_involution(g) for g in (t.lam, t.rho, t.tau)):
+                    reason, _ = wreath._evaluate_candidate(
+                        params, target, wreath.DEFAULT_WITNESS_LEN
+                    )
+                    reasons.append(reason)
+    assert reasons and "kept" not in reasons
 
 
 def test_classify_budget():
@@ -408,7 +464,6 @@ def test_conjugate_triples_are_found_isomorphic():
 
 def test_conjugate_by_graph_automorphism_is_always_found():
     from regmaps.maps import AdmissibleTriple
-    from regmaps.wreath import identity_wreath
 
     rec = classify(2, 4)[0]
     t1 = rec.triple()
@@ -446,13 +501,24 @@ def test_records_json_roundtrip():
 
 
 def test_records_json_revalidates():
-    import json
-
     text = records_to_json(classify(2, 3))
     payload = json.loads(text)
     payload[0]["genus"] = 6
     with pytest.raises(ValueError):
         records_from_json(json.dumps(payload))
+
+
+def test_k3_record_with_other_parameters_is_rejected():
+    # the (1,3) triple is the fixed hexagon, so revalidation alone cannot
+    # tell a tampered sigma or theta; maps_isomorphic would then call the
+    # tampered record different from the real one
+    [obj] = json.loads(records_to_json(classify(1, 3)))
+    assert records_from_json(json.dumps([obj])) == classify(1, 3)
+    for sigma in ([[0, 2, 1]], [[1, 0, 2], [1, 0, 2]]):
+        with pytest.raises(ValueError, match=r"\(1,3\) record"):
+            records_from_json(json.dumps([{**obj, "sigma": sigma}]))
+    with pytest.raises(ValueError, match=r"\(1,3\) record"):
+        records_from_json(json.dumps([{**obj, "theta": [0, 1]}]))
 
 
 def test_revalidating_a_record_lists_no_group(monkeypatch):
