@@ -48,7 +48,6 @@ from .wreath import (
     CanonicalTripleParams,
     MapRecord,
     TheoremReport,
-    WreathElem,
     canonical_triple,
     classify,
     enumerate_sigma_candidates,

@@ -65,13 +65,13 @@ class Graph:
         return f"Graph(n={self.n}, edges={self.num_edges})"
 
 
-def hamming(d: int, n: int, max_vertices: int = MAX_VERTICES) -> Graph:
+def hamming(d: int, n: int) -> Graph:
     """H(d,n): vertices [n]^d, adjacent iff they differ in exactly one coordinate."""
     if d < 1 or n < 2:
         raise ValueError("hamming requires d >= 1 and n >= 2")
     size = n**d
-    if size > max_vertices:
-        raise ValueError(f"H({d},{n}) has {size} vertices, over the limit {max_vertices}")
+    if size > MAX_VERTICES:
+        raise ValueError(f"H({d},{n}) has {size} vertices, over the limit {MAX_VERTICES}")
     edges = []
     for v in range(size):
         scale = 1

@@ -5,11 +5,11 @@ of d copies of S_n acting coordinatewise, extended by S_d permuting the
 coordinate positions.  Every flag-regular embedding can be conjugated so
 that its triple takes a canonical shape parameterized by d permutations
 (sigma_0, ..., sigma_{d-1}) and an involution theta of the positions, and
-a nonorientable one has theta = beta_d.  ``classify`` counts the tuples
-of that shape, counts the ones that fail the clique filter or the
-involution precheck without building them, streams the rest, keeps the
-candidates whose group is a flag-regular nonorientable map on H(d,n),
-and emits them as serializable census records.
+a nonorientable one has theta = beta_d, so a census candidate is its
+sigma tuple alone.  ``classify`` counts the tuples of that shape, counts
+the ones that fail the clique filter or the involution precheck without
+building them, streams the rest, keeps the candidates whose group is a
+flag-regular nonorientable map on H(d,n), and emits them as census records.
 """
 
 from __future__ import annotations
@@ -56,7 +56,6 @@ __all__ = [
     "FixedCellResult",
     "MapRecord",
     "TheoremReport",
-    "WreathElem",
     "alpha_perm",
     "beta_perm",
     "canonical_l",
@@ -90,37 +89,16 @@ class BudgetExceeded(Exception):
 # wreath elements
 
 
-@dataclass(frozen=True)
-class WreathElem:
-    """Element (delta_0, ..., delta_{d-1}) * delta' of S_n wr S_d.
-
-    Acts on [n]^d by first applying delta_i to the value in coordinate i,
-    then moving the value in position i to position i^delta'.
-    """
-
-    base: tuple[Perm, ...]
-    top: Perm
-
-    def __post_init__(self):
-        if len(self.base) != self.top.degree:
-            raise ValueError("base length must equal the top permutation's degree")
-        n = self.base[0].degree
-        if any(b.degree != n for b in self.base):
-            raise ValueError("base permutations must share a degree")
-
-    @property
-    def d(self) -> int:
-        return len(self.base)
-
-    @property
-    def n(self) -> int:
-        return self.base[0].degree
-
-
-def wreath_to_perm(w: WreathElem, d: int, n: int) -> Perm:
-    """The induced permutation of the n^d mixed-radix vertex indices."""
-    if w.d != d or w.n != n:
-        raise ValueError(f"expected an element of S_{n} wr S_{d}")
+def wreath_to_perm(base: Sequence[Perm], top: Perm) -> Perm:
+    """The permutation of the n^d mixed-radix vertex indices induced by
+    (base_0, ..., base_{d-1}) * top in S_n wr S_d, which applies base_i to
+    the value in coordinate i, then moves position i to position top(i)."""
+    d = len(base)
+    if d != top.degree:
+        raise ValueError("base length must equal the top permutation's degree")
+    n = base[0].degree
+    if any(b.degree != n for b in base):
+        raise ValueError("base permutations must share a degree")
     if n**d > MAX_DEGREE:
         raise ValueError(f"degree {n**d} exceeds the supported bound {MAX_DEGREE}")
     # y(v) = sum_i base_i[digit_i(v)] * n^top(i), built as an outer sum
@@ -128,7 +106,7 @@ def wreath_to_perm(w: WreathElem, d: int, n: int) -> Perm:
     scales = n ** np.arange(d, dtype=np.int64)
     images = np.zeros(1, dtype=np.int64)
     for i in range(d):
-        term = w.base[i].images * scales[w.top(i)]
+        term = base[i].images * scales[top(i)]
         images = (term[:, None] + images).ravel()
     # the base and top are checked permutations, so the images are one too
     return _trusted(images)
@@ -165,12 +143,12 @@ def tau_seed_perm(n: int) -> Perm:
 
 @dataclass(frozen=True)
 class CanonicalTripleParams:
-    """Parameters (sigma_0..sigma_{d-1}, theta) of a canonical triple."""
+    """Parameters (sigma_0..sigma_{d-1}) of a canonical triple with
+    theta = beta_d, so that sigma_{d-i} is the inverse of sigma_i."""
 
     d: int
     n: int
     sigma: tuple[Perm, ...]
-    theta: Perm
 
     def __post_init__(self):
         d, n = self.d, self.n
@@ -178,37 +156,33 @@ class CanonicalTripleParams:
             raise ValueError("requires d >= 1 and n >= 3")
         if len(self.sigma) != d or any(s.degree != n for s in self.sigma):
             raise ValueError("sigma must hold d permutations of [n]")
-        if self.theta.degree != d:
-            raise ValueError("theta must permute the d coordinate positions")
-        if self.theta(0) != 0 or not (self.theta * self.theta).is_identity():
-            raise ValueError("theta must fix 0 and square to the identity")
         s0 = self.sigma[0]
         if s0(0) != 1 or s0(1) != 0:
             raise ValueError("sigma_0 must transpose 0 and 1")
         for i in range(1, d):
             if self.sigma[i](0) != 0:
                 raise ValueError(f"sigma_{i} must fix 0")
-            if not (self.sigma[i] * self.sigma[self.theta(i)]).is_identity():
-                raise ValueError(f"sigma_{i} * sigma_{i}^theta must be the identity")
+            if not (self.sigma[i] * self.sigma[d - i]).is_identity():
+                raise ValueError(f"sigma_{i} * sigma_{d - i} must be the identity")
 
 
 @lru_cache(maxsize=None)
 def canonical_tau(d: int, n: int) -> Perm:
     """tau = (tau_seed, beta_n, ..., beta_n) * beta_d as a vertex permutation."""
     base = (tau_seed_perm(n),) + tuple(beta_perm(n) for _ in range(d - 1))
-    return wreath_to_perm(WreathElem(base, beta_perm(d)), d, n)
+    return wreath_to_perm(base, beta_perm(d))
 
 
 @lru_cache(maxsize=None)
 def canonical_r(d: int, n: int) -> Perm:
     """R = (id, ..., id, gamma_n) * alpha_d: the base vertex rotation."""
     base = tuple(identity(n) for _ in range(d - 1)) + (gamma_perm(n),)
-    return wreath_to_perm(WreathElem(base, alpha_perm(d)), d, n)
+    return wreath_to_perm(base, alpha_perm(d))
 
 
 def canonical_l(params: CanonicalTripleParams) -> Perm:
-    """L = (sigma_0, ..., sigma_{d-1}) * theta."""
-    return wreath_to_perm(WreathElem(params.sigma, params.theta), params.d, params.n)
+    """L = (sigma_0, ..., sigma_{d-1}) * beta_d."""
+    return wreath_to_perm(params.sigma, beta_perm(params.d))
 
 
 def canonical_triple(params: CanonicalTripleParams) -> AdmissibleTriple:
@@ -269,11 +243,9 @@ def _slots(d: int) -> tuple[tuple[int, int], ...]:
 
 
 def _candidates(d: int, n: int, sigma0s, pools) -> Iterator[CanonicalTripleParams]:
-    """Stream the parameter tuples with theta = beta_d of the given sigma_0
-    choices, with the sigma_i of slot k of ``_slots(d)`` drawn from
-    ``pools[k]``, in lexicographic order; nothing is built before it is
-    asked for."""
-    theta = beta_perm(d)
+    """Stream the parameter tuples of the given sigma_0 choices, with the
+    sigma_i of slot k of ``_slots(d)`` drawn from ``pools[k]``, in
+    lexicographic order; nothing is built before it is asked for."""
     slots = _slots(d)
     for sigma0 in sigma0s:
         for picks in itertools.product(*pools):
@@ -285,7 +257,7 @@ def _candidates(d: int, n: int, sigma0s, pools) -> Iterator[CanonicalTripleParam
             # the pools meet every condition of __post_init__ by
             # construction, so the tuple is built without re-checking
             params = CanonicalTripleParams.__new__(CanonicalTripleParams)
-            params.__dict__.update(d=d, n=n, sigma=tuple(sigma), theta=theta)
+            params.__dict__.update(d=d, n=n, sigma=tuple(sigma))
             yield params
 
 
@@ -316,9 +288,8 @@ CENSUS_NOTES = {
 }
 
 # The (1,3) record is carried on the hexagon (see MapRecord.triple), so its
-# triple ignores these parameters; they are fixed to tell the record apart.
+# triple ignores sigma; it is fixed to tell the record apart.
 K3_SIGMA = (Perm([1, 0, 2]),)
-K3_THETA = identity(1)
 
 
 @dataclass(frozen=True)
@@ -328,7 +299,6 @@ class MapRecord:
     d: int
     n: int
     sigma: tuple[Perm, ...]
-    theta: Perm
     invariants: MapInvariants
     witness: Optional[tuple[int, ...]]
     census_note: Optional[str] = None
@@ -337,7 +307,7 @@ class MapRecord:
         """Canonical parameters, or None for the special (1,3) record."""
         if (self.d, self.n) == (1, 3):
             return None
-        return CanonicalTripleParams(self.d, self.n, self.sigma, self.theta)
+        return CanonicalTripleParams(self.d, self.n, self.sigma)
 
     def triple(self) -> AdmissibleTriple:
         """Rebuild the working triple.
@@ -358,7 +328,7 @@ def record_to_dict(rec: MapRecord) -> dict:
         "d": rec.d,
         "n": rec.n,
         "sigma": [[int(x) for x in s.images] for s in rec.sigma],
-        "theta": [int(x) for x in rec.theta.images],
+        "theta": [int(x) for x in beta_perm(rec.d).images],
         "type": {"p": inv.covalency, "q": inv.valency, "r": inv.petrie},
         "V": inv.vertices,
         "E": inv.edges,
@@ -376,7 +346,12 @@ def records_to_json(records: Sequence[MapRecord]) -> str:
     return json.dumps([record_to_dict(r) for r in records], indent=2) + "\n"
 
 
-def record_from_dict(obj: dict, validate: bool = True) -> MapRecord:
+def record_from_dict(obj: dict) -> MapRecord:
+    # every record is stored with theta = beta_d, which its triple assumes;
+    # beta is built at the stored theta's degree, never at an unchecked d
+    theta = Perm(obj["theta"])
+    if theta.degree != obj["d"] or theta != beta_perm(theta.degree):
+        raise ValueError(f"record theta {obj['theta']} is not beta_{obj['d']}")
     inv = MapInvariants(
         valency=obj["type"]["q"],
         covalency=obj["type"]["p"],
@@ -393,23 +368,21 @@ def record_from_dict(obj: dict, validate: bool = True) -> MapRecord:
         d=obj["d"],
         n=obj["n"],
         sigma=tuple(Perm(s) for s in obj["sigma"]),
-        theta=Perm(obj["theta"]),
         invariants=inv,
         witness=tuple(obj["witness"]) if obj.get("witness") is not None else None,
         census_note=obj.get("census_note"),
     )
-    if validate:
-        _revalidate_record(rec)
+    _revalidate_record(rec)
     return rec
 
 
-def records_from_json(text: str, validate: bool = True) -> list[MapRecord]:
-    return [record_from_dict(obj, validate=validate) for obj in json.loads(text)]
+def records_from_json(text: str) -> list[MapRecord]:
+    return [record_from_dict(obj) for obj in json.loads(text)]
 
 
 def _revalidate_record(rec: MapRecord) -> None:
-    if (rec.d, rec.n) == (1, 3) and (rec.sigma, rec.theta) != (K3_SIGMA, K3_THETA):
-        raise ValueError("the (1,3) record carries fixed sigma and theta")
+    if (rec.d, rec.n) == (1, 3) and rec.sigma != K3_SIGMA:
+        raise ValueError("the (1,3) record carries a fixed sigma")
     t = rec.triple()
     expected_order = 2 * rec.d * (rec.n - 1) * rec.n**rec.d
     if rec.invariants.group_order != expected_order:
@@ -419,6 +392,9 @@ def _revalidate_record(rec: MapRecord) -> None:
     recomputed = invariants(t, cap=expected_order)
     if recomputed != rec.invariants:
         raise ValueError(f"stored invariants {rec.invariants} != recomputed {recomputed}")
+    note = CENSUS_NOTES.get((rec.d, rec.n) + recomputed.type_triple)
+    if rec.census_note != note:
+        raise ValueError(f"stored census note {rec.census_note!r} != {note!r}")
     if rec.witness is not None:
         word = evaluate_word(t.L, t.R, rec.witness)
         if word != t.tau:
@@ -514,9 +490,9 @@ def _base_edge_orbit_size(t: AdmissibleTriple) -> int:
     return int(np.count_nonzero(seen))
 
 
-def _evaluate_candidate(params: CanonicalTripleParams, target: int, max_witness_len: int):
-    """Run one candidate that passed the involution precheck through the
-    rest of the pipeline.
+def _evaluate_candidate(t: AdmissibleTriple, d: int, n: int, target: int, max_witness_len: int):
+    """Run the triple of one candidate of cell (d, n) that passed the
+    involution precheck through the rest of the pipeline.
 
     Returns (reason, payload) where reason is a CellStats field name and
     payload is (invariants, witness) for kept candidates.  No group is
@@ -524,8 +500,6 @@ def _evaluate_candidate(params: CanonicalTripleParams, target: int, max_witness_
     triple's one Schreier count, which validation and invariants then
     reuse, and the base-edge orbit from a search over vertex pairs.
     """
-    d, n = params.d, params.n
-    t = canonical_triple(params)
     try:
         orbit, stab = t.orbit_stabilizer(target)
     except CapExceeded:
@@ -561,9 +535,7 @@ def _k3_record(max_witness_len: int) -> MapRecord:
     inv = invariants(t)
     wit = nonorientability_witness(t, max_witness_len)
     note = CENSUS_NOTES.get((1, 3) + inv.type_triple)
-    return MapRecord(
-        1, 3, K3_SIGMA, K3_THETA, inv, tuple(wit) if wit is not None else None, note
-    )
+    return MapRecord(1, 3, K3_SIGMA, inv, tuple(wit) if wit is not None else None, note)
 
 
 def classify(
@@ -628,13 +600,14 @@ def classify(
 
     records: list[MapRecord] = []
     for params in _candidates(d, n, sigma0s, pools):
-        reason, payload = _evaluate_candidate(params, target, max_witness_len)
+        t = canonical_triple(params)
+        reason, payload = _evaluate_candidate(t, d, n, target, max_witness_len)
         if reason != "kept":
             setattr(stats, reason, getattr(stats, reason) + 1)
             continue
         inv, wit = payload
         note = CENSUS_NOTES.get((d, n) + inv.type_triple)
-        records.append(MapRecord(d, n, params.sigma, params.theta, inv, wit, note))
+        records.append(MapRecord(d, n, params.sigma, inv, wit, note))
 
     kept: list[MapRecord] = []
     for rec in records:
@@ -717,7 +690,7 @@ def maps_isomorphic(r1: MapRecord, r2: MapRecord) -> bool:
     """Whether two records describe isomorphic maps of the same H(d,n)."""
     if (r1.d, r1.n) != (r2.d, r2.n):
         raise ValueError("records belong to different Hamming graphs")
-    if r1.sigma == r2.sigma and r1.theta == r2.theta:
+    if r1.sigma == r2.sigma:
         return True
     if r1.invariants.type_triple != r2.invariants.type_triple:
         return False

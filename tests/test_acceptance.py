@@ -23,7 +23,6 @@ from regmaps.perms import Perm, element_order, evaluate_word, identity
 from regmaps.pgl29 import verify_construction
 from regmaps.wreath import (
     CanonicalTripleParams,
-    beta_perm,
     canonical_triple,
     maps_isomorphic,
     regular_vertex_subgroup,
@@ -201,7 +200,7 @@ def test_criterion_7_property_suites(census):
         elif evaluate_word(t.L, t.R, wit) != t.tau:
             failures.append(f"(c) {rec.d},{rec.n}: witness does not evaluate to tau")
     orientable_triple = canonical_triple(
-        CanonicalTripleParams(2, 3, (Perm([1, 0, 2]), Perm([0, 2, 1])), beta_perm(2))
+        CanonicalTripleParams(2, 3, (Perm([1, 0, 2]), Perm([0, 2, 1])))
     )
     if not is_orientable(orientable_triple) or nonorientability_witness(
         orientable_triple, max_len=6

@@ -24,7 +24,6 @@ from regmaps.perms import CapExceeded, Perm, _closure_raw, closure, inverse, is_
 from regmaps.wreath import (
     CanonicalTripleParams,
     CellStats,
-    beta_perm,
     canonical_triple,
     classify,
 )
@@ -88,11 +87,10 @@ def test_closure_kernel_matches_the_row_by_row_reference():
 VALIDATED = ("invalid", "orientable", "kept")
 
 
-def closure_verdict(params, target):
-    """The CellStats reason of the full-closure pipeline, or "validated"
-    for a candidate that passes on to validation."""
-    d, n = params.d, params.n
-    t = canonical_triple(params)
+def closure_verdict(t, d, n, target):
+    """The CellStats reason of the full-closure pipeline for the triple of
+    a candidate of cell (d, n), or "validated" for a candidate that passes
+    on to validation."""
     if not all(is_involution(g) for g in (t.lam, t.rho, t.tau)):
         return "precheck_rejected"
     try:
@@ -150,11 +148,11 @@ def test_fast_verdicts_and_stats_match_the_closure_oracle(d, n, monkeypatch):
     fast_evaluate = wreath._evaluate_candidate
     streamed = []
 
-    def evaluate_both(params, target, max_witness_len):
-        verdict = fast_evaluate(params, target, max_witness_len)
+    def evaluate_both(t, d, n, target, max_witness_len):
+        verdict = fast_evaluate(t, d, n, target, max_witness_len)
         reason = "validated" if verdict[0] in VALIDATED else verdict[0]
-        assert reason == closure_verdict(params, target), params
-        streamed.append(params)
+        assert reason == closure_verdict(t, d, n, target), t.lam
+        streamed.append(t.lam)
         return verdict
 
     monkeypatch.setattr(wreath, "_evaluate_candidate", evaluate_both)
@@ -164,15 +162,15 @@ def test_fast_verdicts_and_stats_match_the_closure_oracle(d, n, monkeypatch):
     expected = dataclasses.asdict(CellStats(**BUILT_PIPELINE_STATS[(d, n)]))
     assert dataclasses.asdict(stats) == expected
     # each survivor of the clique filter and the counted precheck was
-    # streamed to the verdicts exactly once
+    # streamed to the verdicts exactly once (lam = L*tau determines sigma)
     assert len(set(streamed)) == len(streamed) == (
         stats.candidates - stats.clique_rejected - stats.precheck_rejected
     )
 
 
 def built_survivors(d, n, sigma0s):
-    """The tuples of the given sigma_0 choices with theta = beta_d, in
-    lexicographic order, each built through every check."""
+    """The tuples of the given sigma_0 choices, in lexicographic order,
+    each built through every check."""
     slots = wreath._slots(d)
     pools = [wreath._fixing0_choices(n, i == j) for i, j in slots]
     for sigma0 in sigma0s:
@@ -180,7 +178,7 @@ def built_survivors(d, n, sigma0s):
             sigma = [sigma0] + [None] * (d - 1)
             for (i, j), pick in zip(slots, picks):
                 sigma[i], sigma[j] = pick, inverse(pick)
-            yield CanonicalTripleParams(d, n, tuple(sigma), beta_perm(d))
+            yield CanonicalTripleParams(d, n, tuple(sigma))
 
 
 # every fitting sigma_0 of n <= 9 passes the precheck, so the sigma_0 half
@@ -203,14 +201,14 @@ def test_counted_precheck_matches_the_built_precheck(d, n, clique_filter, monkey
     for params in survivors:
         t = canonical_triple(params)
         if all(is_involution(g) for g in (t.lam, t.rho, t.tau)):
-            passing.append(params)
+            passing.append(t.lam)
 
     fast_evaluate = wreath._evaluate_candidate
     streamed = []
 
-    def recording_evaluate(params, target, max_witness_len):
-        streamed.append(params)
-        return fast_evaluate(params, target, max_witness_len)
+    def recording_evaluate(t, d, n, target, max_witness_len):
+        streamed.append(t.lam)
+        return fast_evaluate(t, d, n, target, max_witness_len)
 
     monkeypatch.setattr(wreath, "_evaluate_candidate", recording_evaluate)
     stats = CellStats()

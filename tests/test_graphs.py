@@ -32,7 +32,7 @@ def test_hamming_22_is_4_cycle():
 
 def test_hamming_vertex_limit():
     with pytest.raises(ValueError):
-        hamming(8, 6, max_vertices=10**6)
+        hamming(8, 6)
 
 
 def test_complete_counts():

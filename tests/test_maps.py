@@ -18,7 +18,7 @@ from regmaps.maps import (
     validate_admissible,
 )
 from regmaps.perms import Perm, evaluate_word, identity
-from regmaps.wreath import CanonicalTripleParams, beta_perm, canonical_triple
+from regmaps.wreath import CanonicalTripleParams, canonical_triple
 
 
 @pytest.fixture(scope="module")
@@ -28,13 +28,13 @@ def octagon():
 
 @pytest.fixture(scope="module")
 def h23_nonorientable():
-    params = CanonicalTripleParams(2, 3, (Perm([1, 0, 2]), identity(3)), beta_perm(2))
+    params = CanonicalTripleParams(2, 3, (Perm([1, 0, 2]), identity(3)))
     return canonical_triple(params)
 
 
 @pytest.fixture(scope="module")
 def h23_orientable():
-    params = CanonicalTripleParams(2, 3, (Perm([1, 0, 2]), Perm([0, 2, 1])), beta_perm(2))
+    params = CanonicalTripleParams(2, 3, (Perm([1, 0, 2]), Perm([0, 2, 1])))
     return canonical_triple(params)
 
 

@@ -22,7 +22,7 @@ from regmaps.maps import (
 )
 from regmaps.perms import CapExceeded, Perm, closure, identity, subgroup_index
 from regmaps.pgl29 import pgl_triple
-from regmaps.wreath import CanonicalTripleParams, beta_perm, canonical_triple, classify
+from regmaps.wreath import CanonicalTripleParams, canonical_triple, classify
 
 CENSUS_CELLS = [(d, n) for d in (1, 2, 3) for n in range(3, 8)] + [(4, 3), (4, 4)]
 
@@ -80,7 +80,7 @@ def assert_order_only_matches_listed(t, cap):
 
 def h23(sigma1):
     return canonical_triple(
-        CanonicalTripleParams(2, 3, (Perm([1, 0, 2]), sigma1), beta_perm(2))
+        CanonicalTripleParams(2, 3, (Perm([1, 0, 2]), sigma1))
     )
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from regmaps import maps, wreath
 from regmaps.graphs import hamming
-from regmaps.maps import clique_submap, invariants, petrie_dual
+from regmaps.maps import AdmissibleTriple, clique_submap, invariants, petrie_dual
 from regmaps.perms import (
     Perm,
     closure,
@@ -23,7 +23,6 @@ from regmaps.wreath import (
     CanonicalTripleParams,
     CellStats,
     MapRecord,
-    WreathElem,
     alpha_perm,
     beta_perm,
     canonical_l,
@@ -46,29 +45,32 @@ from regmaps.wreath import (
 ROOT = Path(__file__).resolve().parent.parent
 
 
-# the group law of S_n wr S_d, the spec that wreath_to_perm must respect
+# the group law of S_n wr S_d, the spec that wreath_to_perm must respect;
+# an element is a pair (base, top) of d permutations of [n] and one of [d]
 
 
 def wreath_mul(a, b):
-    base = tuple(a.base[i] * b.base[a.top(i)] for i in range(a.d))
-    return WreathElem(base, a.top * b.top)
+    (a_base, a_top), (b_base, b_top) = a, b
+    return tuple(a_base[i] * b_base[a_top(i)] for i in range(len(a_base))), a_top * b_top
 
 
 def wreath_inverse(w):
-    top_inv = inverse(w.top)
-    return WreathElem(tuple(inverse(w.base[top_inv(j)]) for j in range(w.d)), top_inv)
+    base, top = w
+    top_inv = inverse(top)
+    return tuple(inverse(base[top_inv(j)]) for j in range(len(base))), top_inv
 
 
 def identity_wreath(d, n):
-    return WreathElem(tuple(identity(n) for _ in range(d)), identity(d))
+    return tuple(identity(n) for _ in range(d)), identity(d)
 
 
 def wreath_image_oracle(w, d, n, v):
     # recompute the action digit by digit, independently of wreath_to_perm
+    base, top = w
     digits = [(v // n**i) % n for i in range(d)]
     out = [0] * d
     for i in range(d):
-        out[w.top(i)] = w.base[i](digits[i])
+        out[top(i)] = base[i](digits[i])
     return sum(out[i] * n**i for i in range(d))
 
 
@@ -78,16 +80,16 @@ def random_wreath(rng, d, n):
         rng.shuffle(images)
         return Perm(images)
 
-    return WreathElem(tuple(rand_perm(n) for _ in range(d)), rand_perm(d))
+    return tuple(rand_perm(n) for _ in range(d)), rand_perm(d)
 
 
 def test_wreath_identity():
-    assert wreath_to_perm(identity_wreath(2, 3), 2, 3) == identity(9)
+    assert wreath_to_perm(*identity_wreath(2, 3)) == identity(9)
 
 
 def test_wreath_coordinate_swap():
-    w = WreathElem((identity(3), identity(3)), alpha_perm(2))
-    p = wreath_to_perm(w, 2, 3)
+    w = ((identity(3), identity(3)), alpha_perm(2))
+    p = wreath_to_perm(*w)
     assert p(1) == 3  # e_0 goes to e_1
     assert p(3) == 1
     for v in range(9):
@@ -100,8 +102,8 @@ def test_wreath_to_perm_is_homomorphism():
         for _ in range(50):
             w1 = random_wreath(rng, d, n)
             w2 = random_wreath(rng, d, n)
-            lhs = wreath_to_perm(wreath_mul(w1, w2), d, n)
-            rhs = compose(wreath_to_perm(w1, d, n), wreath_to_perm(w2, d, n))
+            lhs = wreath_to_perm(*wreath_mul(w1, w2))
+            rhs = compose(wreath_to_perm(*w1), wreath_to_perm(*w2))
             assert lhs == rhs
 
 
@@ -110,7 +112,7 @@ def test_wreath_to_perm_matches_digit_oracle():
     for d, n in ((1, 5), (2, 3), (3, 4), (4, 3)):
         for _ in range(25):
             w = random_wreath(rng, d, n)
-            p = wreath_to_perm(w, d, n)
+            p = wreath_to_perm(*w)
             assert [p(v) for v in range(n**d)] == [
                 wreath_image_oracle(w, d, n, v) for v in range(n**d)
             ]
@@ -122,21 +124,20 @@ def test_wreath_inverse():
         w = random_wreath(rng, 3, 4)
         product = wreath_mul(w, wreath_inverse(w))
         assert product == identity_wreath(3, 4)
-        assert wreath_to_perm(product, 3, 4) == identity(64)
+        assert wreath_to_perm(*product) == identity(64)
 
 
 def test_canonical_tau_small_cases():
     # d=2, n=3: base (id, (1 2)), trivial top
-    expected = WreathElem((identity(3), Perm([0, 2, 1])), identity(2))
-    assert canonical_tau(2, 3) == wreath_to_perm(expected, 2, 3)
+    assert canonical_tau(2, 3) == wreath_to_perm((identity(3), Perm([0, 2, 1])), identity(2))
     # d=2, n=4: base ((2 3), (1 3)), trivial top
-    expected = WreathElem((Perm([0, 1, 3, 2]), Perm([0, 3, 2, 1])), identity(2))
-    assert canonical_tau(2, 4) == wreath_to_perm(expected, 2, 4)
+    expected = wreath_to_perm((Perm([0, 1, 3, 2]), Perm([0, 3, 2, 1])), identity(2))
+    assert canonical_tau(2, 4) == expected
 
 
 def test_canonical_r_small_case():
-    expected = WreathElem((identity(4), Perm([0, 2, 3, 1])), Perm([1, 0]))
-    assert canonical_r(2, 4) == wreath_to_perm(expected, 2, 4)
+    expected = wreath_to_perm((identity(4), Perm([0, 2, 3, 1])), Perm([1, 0]))
+    assert canonical_r(2, 4) == expected
 
 
 def test_canonical_d1_matches_complete_graph_data():
@@ -156,15 +157,11 @@ def test_canonical_r_shifts_unit_vectors():
 
 def test_params_validation():
     with pytest.raises(ValueError):
-        CanonicalTripleParams(2, 3, (identity(3), identity(3)), beta_perm(2))
+        CanonicalTripleParams(2, 3, (identity(3), identity(3)))
     with pytest.raises(ValueError):
-        CanonicalTripleParams(
-            2, 3, (Perm([1, 0, 2]), Perm([1, 0, 2])), beta_perm(2)
-        )
+        CanonicalTripleParams(2, 3, (Perm([1, 0, 2]), Perm([1, 0, 2])))
     with pytest.raises(ValueError):
-        CanonicalTripleParams(
-            3, 4, (Perm([1, 0, 2, 3]), gamma_perm(4), gamma_perm(4)), beta_perm(3)
-        )
+        CanonicalTripleParams(3, 4, (Perm([1, 0, 2, 3]), gamma_perm(4), gamma_perm(4)))
 
 
 def count_involutions_transposing_01(n):
@@ -220,29 +217,33 @@ def test_streamed_tuples_pass_the_checks_they_skip(d, n):
     # increasing lexicographic order of sigma
     keys = []
     for params in enumerate_sigma_candidates(d, n):
-        assert CanonicalTripleParams(d, n, params.sigma, params.theta) == params
+        assert CanonicalTripleParams(d, n, params.sigma) == params
         keys.append(tuple(tuple(int(x) for x in s.images) for s in params.sigma))
     assert all(a < b for a, b in zip(keys, keys[1:]))
 
 
 def test_wreath_to_perm_keeps_the_degree_bound():
     # 17^4 = 83,521 points: refused before the image array is built
-    w = WreathElem(tuple(identity(17) for _ in range(4)), identity(4))
     with pytest.raises(ValueError, match="exceeds the supported bound"):
-        wreath_to_perm(w, 4, 17)
+        wreath_to_perm(tuple(identity(17) for _ in range(4)), identity(4))
+
+
+def test_wreath_to_perm_rejects_misshapen_elements():
+    with pytest.raises(ValueError, match="base length"):
+        wreath_to_perm((identity(3), identity(3)), identity(3))
+    with pytest.raises(ValueError, match="share a degree"):
+        wreath_to_perm((identity(3), identity(4)), identity(2))
 
 
 def test_canonical_closure_order_h26():
     # sigma_0 = (0 1)(3 4), sigma_1 = (1 4)(2 5)
-    params = CanonicalTripleParams(
-        2, 6, (Perm([1, 0, 2, 4, 3, 5]), Perm([0, 4, 5, 3, 1, 2])), beta_perm(2)
-    )
+    params = CanonicalTripleParams(2, 6, (Perm([1, 0, 2, 4, 3, 5]), Perm([0, 4, 5, 3, 1, 2])))
     t = canonical_triple(params)
     assert t.group(cap=720).order == 720
 
 
 def test_tau_in_rotation_subgroup_for_nonorientable_h23():
-    params = CanonicalTripleParams(2, 3, (Perm([1, 0, 2]), identity(3)), beta_perm(2))
+    params = CanonicalTripleParams(2, 3, (Perm([1, 0, 2]), identity(3)))
     t = canonical_triple(params)
     sub = closure([t.R, t.L], cap=100)
     assert contains(sub, t.tau)
@@ -250,7 +251,7 @@ def test_tau_in_rotation_subgroup_for_nonorientable_h23():
 
 def test_subgroup_index_orientable_vs_not():
     orientable = canonical_triple(
-        CanonicalTripleParams(2, 3, (Perm([1, 0, 2]), Perm([0, 2, 1])), beta_perm(2))
+        CanonicalTripleParams(2, 3, (Perm([1, 0, 2]), Perm([0, 2, 1])))
     )
     group = orientable.group(cap=100)
     assert subgroup_index(group, [orientable.R, orientable.L]) == 2
@@ -302,9 +303,10 @@ def test_classify_clique_filter_is_transparent(monkeypatch):
 @pytest.mark.parametrize("d,n", [(3, 3), (3, 4), (4, 3), (4, 4), (5, 3), (3, 6)])
 def test_no_other_theta_gives_a_nonorientable_map(d, n):
     # classify pins theta to beta_d; every other involutory theta fixing 0,
-    # with every sigma_0 and every slot pick, is built through the checks,
-    # prechecked, and run through the rest of the pipeline
+    # with every sigma_0 and every slot pick, gives L = (sigma) * theta,
+    # whose triple is prechecked and run through the rest of the pipeline
     target = 2 * d * (n - 1) * n**d
+    r, tau = canonical_r(d, n), canonical_tau(d, n)
     reasons = []
     for theta in wreath._perms_with_prefix(d, (0,), involutory=True):
         if theta == beta_perm(d):
@@ -316,11 +318,10 @@ def test_no_other_theta_gives_a_nonorientable_map(d, n):
                 sigma = [sigma0] + [None] * (d - 1)
                 for (i, j), pick in zip(slots, picks):
                     sigma[i], sigma[j] = pick, inverse(pick)
-                params = CanonicalTripleParams(d, n, tuple(sigma), theta)
-                t = canonical_triple(params)
+                t = AdmissibleTriple(wreath_to_perm(sigma, theta) * tau, r * tau, tau)
                 if all(is_involution(g) for g in (t.lam, t.rho, t.tau)):
                     reason, _ = wreath._evaluate_candidate(
-                        params, target, wreath.DEFAULT_WITNESS_LEN
+                        t, d, n, target, wreath.DEFAULT_WITNESS_LEN
                     )
                     reasons.append(reason)
     assert reasons and "kept" not in reasons
@@ -470,8 +471,7 @@ def test_conjugate_by_graph_automorphism_is_always_found():
     graph = hamming(2, 4)
     rng = random.Random(31)
     for _ in range(5):
-        w = random_wreath(rng, 2, 4)
-        g = wreath_to_perm(w, 2, 4)
+        g = wreath_to_perm(*random_wreath(rng, 2, 4))
         ginv = inverse(g)
         t2 = AdmissibleTriple(*(ginv * x * g for x in (t1.lam, t1.rho, t1.tau)))
         assert triples_map_isomorphic(t1, t2, graph) is not None
@@ -508,6 +508,13 @@ def test_records_json_revalidates():
         records_from_json(json.dumps(payload))
 
 
+def test_records_json_rejects_a_tampered_census_note():
+    [obj, _] = json.loads(records_to_json(classify(2, 6)))
+    for note in ("N1.1", None):
+        with pytest.raises(ValueError, match="census note"):
+            records_from_json(json.dumps([{**obj, "census_note": note}]))
+
+
 def test_k3_record_with_other_parameters_is_rejected():
     # the (1,3) triple is the fixed hexagon, so revalidation alone cannot
     # tell a tampered sigma or theta; maps_isomorphic would then call the
@@ -517,8 +524,21 @@ def test_k3_record_with_other_parameters_is_rejected():
     for sigma in ([[0, 2, 1]], [[1, 0, 2], [1, 0, 2]]):
         with pytest.raises(ValueError, match=r"\(1,3\) record"):
             records_from_json(json.dumps([{**obj, "sigma": sigma}]))
-    with pytest.raises(ValueError, match=r"\(1,3\) record"):
+    with pytest.raises(ValueError, match="theta"):
         records_from_json(json.dumps([{**obj, "theta": [0, 1]}]))
+
+
+@pytest.mark.parametrize("d,n,theta", [(3, 3, [0, 1, 2]), (4, 4, [0, 2, 1, 3])])
+def test_record_with_another_theta_is_rejected(d, n, theta):
+    # every record is stored with theta = beta_d; another involution fixing
+    # 0 is refused by name, before any triple is built from it, and so is
+    # a d that the stored theta does not have, without building beta_d
+    fixture = ROOT / "perfbench" / "fixtures" / "census_reload.json"
+    [obj] = [o for o in json.loads(fixture.read_text()) if (o["d"], o["n"]) == (d, n)]
+    assert len(records_from_json(json.dumps([obj]))) == 1
+    for tampered in ({**obj, "theta": theta}, {**obj, "d": 10**9}):
+        with pytest.raises(ValueError, match="theta"):
+            records_from_json(json.dumps([tampered]))
 
 
 def test_revalidating_a_record_lists_no_group(monkeypatch):
