@@ -21,6 +21,7 @@ from .maps import (
     InvalidTripleError,
     _invariants_from,
     builtin_triple_names,
+    is_orientable,
     named_triple,
     parse_triple,
     validate_admissible,
@@ -105,7 +106,9 @@ def _load_triple(spec: str):
 def cmd_invariants(args) -> int:
     triple = _load_triple(args.triple)
     report = validate_admissible(triple, cap=args.budget)
-    inv = _invariants_from(triple, report, args.budget) if report.ok else None
+    inv = None
+    if report.ok:
+        inv = _invariants_from(triple, report, is_orientable(triple, cap=args.budget))
     if args.format == "json":
         payload = {
             "validation": {

@@ -6,7 +6,10 @@ and face, tau the base vertex and edge.  All invariants are computed
 group-theoretically from element orders and subgroup orders; the orders
 of the map group and of its rotation subgroup <R, L> come from
 ``perms.orbit_stabilizer``, so validation, orientability and invariants
-never list either group.  The underlying graph is recovered from cosets,
+never list either group.  A census candidate's triple arrives with its
+order counted already and its orientability decided, both by the
+census's own walk (``wreath``), and ``_invariants_from`` takes them as
+they are.  The underlying graph is recovered from cosets,
 never read off the carrier domain, because the group may act
 unfaithfully on the graph's vertices (the 4-cycle map realized on the
 octagon is the standard example); only that needs the listed group.
@@ -252,14 +255,18 @@ def is_orientable(t: AdmissibleTriple, cap: int = DEFAULT_BUDGET) -> bool:
 
 
 def invariants(t: AdmissibleTriple, cap: int = DEFAULT_BUDGET) -> MapInvariants:
-    return _invariants_from(t, validate_admissible(t, cap), cap)
-
-
-def _invariants_from(t: AdmissibleTriple, report: ValidationReport, cap: int) -> MapInvariants:
-    """``invariants`` for a caller that holds the triple's validation
-    report already, so the stabilizer checks are not run twice."""
+    report = validate_admissible(t, cap)
     if not report.ok:
         raise InvalidTripleError(f"triple failed validation: {report.failed()}")
+    return _invariants_from(t, report, is_orientable(t, cap))
+
+
+def _invariants_from(
+    t: AdmissibleTriple, report: ValidationReport, orientable: bool
+) -> MapInvariants:
+    """``invariants`` for a caller that holds the triple's passing
+    validation report and its orientability already, so neither the
+    stabilizer checks nor the orientability are decided twice."""
     order = report.group_order
     assert order is not None
     q = element_order(t.R)
@@ -272,7 +279,6 @@ def _invariants_from(t: AdmissibleTriple, report: ValidationReport, cap: int) ->
     edges = order // 4
     faces = order // (2 * p)
     chi = vertices - edges + faces
-    orientable = is_orientable(t, cap)
     if orientable:
         if chi % 2:
             raise InvalidTripleError(f"orientable map with odd Euler characteristic {chi}")

@@ -7,17 +7,17 @@ plain breadth-first closure with a hash set keeps membership, subgroup
 index and element orders exact, cheap and deterministic.  A group whose
 order is all that is wanted is decided by ``orbit_stabilizer`` instead:
 one point orbit plus the stabilizer that Schreier's lemma generates, so
-only the stabilizer is ever listed.  That settles a census candidate's
-group order, and the group orders behind a map's validation, invariants
-and orientability (the index of the rotation subgroup <R, L>).
+only the stabilizer is ever listed.  That settles the group orders behind
+the validation, invariants and orientability (the index of the rotation
+subgroup <R, L>) of a parsed or constructed map, and it is the oracle
+for the census, which decides its candidates' orders with a walk of its
+own on the base vertex's neighbourhood (``wreath``).
 
 The closure kernel keeps its elements as rows of one growing int64
 matrix; each breadth-first level multiplies the previous level's rows
 by a generator in one block, and copies in only the rows it has not
-seen.  ``orbit_stabilizer`` memoizes the closure it starts from, which
-the candidates of a census cell share, and stops by Lagrange's theorem
-as soon as a stabilizer already at its cap meets a non-member, without
-closing again.
+seen.  ``orbit_stabilizer`` stops by Lagrange's theorem as soon as a
+stabilizer already at its cap meets a non-member, without closing again.
 
 Composition convention: ``p * q`` applies ``p`` first and ``q`` second,
 so exponent notation composes the usual way, x^(pq) = (x^p)^q.
@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -301,17 +300,6 @@ def closure(generators: Iterable[Perm], cap: int) -> GroupClosure:
     return GroupClosure(elements, len(elements), gens, frozenset(seen))
 
 
-@lru_cache(maxsize=128)
-def _stabilizer_seed(keys: tuple[bytes, ...], degree: int, cap: int) -> frozenset:
-    """Keyset of the closure of the generators with these image keys.
-
-    A census cell's candidates share the generators that fix the base
-    vertex, so this closure is memoized; a closure that raises is not.
-    """
-    arrays = [np.frombuffer(key, dtype=np.int64) for key in keys]
-    return frozenset(_closure_raw(arrays, degree, cap)[1])
-
-
 def orbit_stabilizer(
     generators: Iterable[Perm], point: int, cap: int
 ) -> tuple[int, int]:
@@ -322,9 +310,9 @@ def orbit_stabilizer(
     v, the elements t_v * g * t_(v^g)^-1 over orbit points v and
     generators g generate the stabilizer.  Each one is tested for
     membership in the stabilizer found so far, which starts as the
-    (memoized) closure of the generators that fix ``point``; a non-member
-    is added and the stabilizer closed again.  Only the stabilizer is
-    ever listed.  Raises CapExceeded as soon as the group order must pass
+    closure of the generators that fix ``point``; a non-member is added
+    and the stabilizer closed again.  Only the stabilizer is ever
+    listed.  Raises CapExceeded as soon as the group order must pass
     ``cap``, exactly when ``closure(generators, cap)`` would: the
     stabilizer may hold at most cap // |orbit| elements, and a proper
     overgroup of the one found so far has at least twice its order.
@@ -349,12 +337,11 @@ def orbit_stabilizer(
                 orbit.append(g[v])
     stab_cap = cap // len(orbit)
 
-    fixing = [g for g in gens if g(point) == point]
+    stab_gens = [g.images for g in gens if g(point) == point]
     try:
-        members = _stabilizer_seed(tuple(g.key for g in fixing), degree, stab_cap)
+        members = _closure_raw(stab_gens, degree, stab_cap)[1]
     except CapExceeded:
         raise CapExceeded(cap) from None
-    stab_gens = [g.images for g in fixing]
     # the same breadth-first search again, now carrying a transversal:
     # trans[w] takes point to w; a tree edge v -> v^g = w defines trans[w]
     # and every other edge gives the Schreier generator trans[v]*g*trans[w]^-1

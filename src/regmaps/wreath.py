@@ -10,6 +10,11 @@ sigma tuple alone.  ``classify`` counts the tuples of that shape, counts
 the ones that fail the clique filter or the involution precheck without
 building them, streams the rest, keeps the candidates whose group is a
 flag-regular nonorientable map on H(d,n), and emits them as census records.
+Every candidate lies in Aut H(d,n), whose vertex stabilizer acts
+faithfully on the base vertex's k = d(n-1) neighbours, so its group order
+and orientability are decided by Schreier walks that test each generator
+on those k points alone (``_neighbourhood_walk``); the generic walk of
+``perms.orbit_stabilizer`` is left to parsed and constructed triples.
 """
 
 from __future__ import annotations
@@ -17,8 +22,9 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -46,6 +52,7 @@ from .perms import (
     identity,
     inverse,
     is_involution,
+    power,
 )
 
 __all__ = [
@@ -346,28 +353,38 @@ def records_to_json(records: Sequence[MapRecord]) -> str:
     return json.dumps([record_to_dict(r) for r in records], indent=2) + "\n"
 
 
+def _field(obj, name: str, where: str = "census record"):
+    """obj[name] of a parsed JSON object, or ValueError naming the field."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where} is not a JSON object: {obj!r}")
+    if name not in obj:
+        raise ValueError(f"{where} has no {name!r} field")
+    return obj[name]
+
+
 def record_from_dict(obj: dict) -> MapRecord:
     # every record is stored with theta = beta_d, which its triple assumes;
     # beta is built at the stored theta's degree, never at an unchecked d
-    theta = Perm(obj["theta"])
-    if theta.degree != obj["d"] or theta != beta_perm(theta.degree):
+    theta = Perm(_field(obj, "theta"))
+    if theta.degree != _field(obj, "d") or theta != beta_perm(theta.degree):
         raise ValueError(f"record theta {obj['theta']} is not beta_{obj['d']}")
+    kind = _field(obj, "type")
     inv = MapInvariants(
-        valency=obj["type"]["q"],
-        covalency=obj["type"]["p"],
-        petrie=obj["type"]["r"],
-        vertices=obj["V"],
-        edges=obj["E"],
-        faces=obj["F"],
-        chi=obj["chi"],
-        orientable=obj["orientable"],
-        genus=obj["genus"],
-        group_order=obj["group_order"],
+        valency=_field(kind, "q", "record type"),
+        covalency=_field(kind, "p", "record type"),
+        petrie=_field(kind, "r", "record type"),
+        vertices=_field(obj, "V"),
+        edges=_field(obj, "E"),
+        faces=_field(obj, "F"),
+        chi=_field(obj, "chi"),
+        orientable=_field(obj, "orientable"),
+        genus=_field(obj, "genus"),
+        group_order=_field(obj, "group_order"),
     )
     rec = MapRecord(
         d=obj["d"],
-        n=obj["n"],
-        sigma=tuple(Perm(s) for s in obj["sigma"]),
+        n=_field(obj, "n"),
+        sigma=tuple(Perm(s) for s in _field(obj, "sigma")),
         invariants=inv,
         witness=tuple(obj["witness"]) if obj.get("witness") is not None else None,
         census_note=obj.get("census_note"),
@@ -469,6 +486,79 @@ def _rho_tau_involutory(d: int, n: int) -> bool:
     return is_involution(canonical_r(d, n) * tau) and is_involution(tau)
 
 
+@lru_cache(maxsize=None)
+def _neighbourhood(d: int, n: int) -> tuple[int, ...]:
+    """N(0) = {a * n^i}: the k = d(n-1) neighbours of the base vertex."""
+    return tuple(a * n**i for i in range(d) for a in range(1, n))
+
+
+def _neighbourhood_keys(r: Perm, tau: Perm, d: int, n: int) -> tuple[frozenset, frozenset]:
+    """The actions on N(0) of <rho,tau> = <R,tau> and of <R>, each as the
+    set of its elements' position tuples over ``_neighbourhood(d, n)``.
+
+    Raises RuntimeError unless R is transitive on N(0) and |<R,tau>| = 2k,
+    the two facts, true by construction, that make the walks of
+    ``_evaluate_candidate`` exact: with the first, a group holding R and
+    an element that moves 0 into N(0) is transitive on the vertices of
+    the connected graph, so its order is n^d times its stabilizer's.
+    """
+    nbrs = _neighbourhood(d, n)
+    k = len(nbrs)
+    place = dict(zip(nbrs, range(k)))
+    # R and tau fix the base vertex, so they permute its neighbours
+    r_local, tau_local = (Perm([place[p(x)] for x in nbrs]) for p in (r, tau))
+    rotations = frozenset(tuple(power(r_local, i).images.tolist()) for i in range(k))
+    try:
+        dihedral = closure([r_local, tau_local], cap=2 * k).elements
+    except CapExceeded:
+        dihedral = ()
+    if len({key[0] for key in rotations}) != k or len(dihedral) != 2 * k:
+        raise RuntimeError(
+            f"cell ({d},{n}): R is not transitive on N(0) or |<rho,tau>| != {2 * k}"
+        )
+    return frozenset(tuple(e.images.tolist()) for e in dihedral), rotations
+
+
+def _neighbourhood_walk(
+    gens: Sequence[Perm], d: int, n: int, members: frozenset
+) -> Optional[int]:
+    """The orbit length of vertex 0 under <gens>, a subgroup of Aut H(d,n),
+    or None as soon as a Schreier generator of its stabilizer acts on N(0)
+    outside ``members``, a set of position tuples over ``_neighbourhood``.
+
+    The stabilizer of 0 in Aut H(d,n) acts faithfully on N(0): an element
+    fixing 0 and every a*n^i has trivial base and top.  So the Schreier
+    generators are tested on N(0) alone.  Each visited vertex v keeps its
+    frame F_v = t_v[N(0)], where the transversal element t_v takes 0 to v.
+    A tree edge v -> w = v^g sets F_w = g[F_v]; on any other edge the
+    Schreier generator t_v*g*t_w^-1 sends the j-th neighbour to the
+    position of g[F_v][j] in F_w.  When ``members`` is the action of a
+    subgroup fixing 0, the walk completes exactly when that subgroup is
+    the whole stabilizer (Schreier's lemma).
+    """
+    nbrs = _neighbourhood(d, n)
+    k = len(nbrs)
+    images = [g.images.tolist() for g in gens]
+    frames = {0: nbrs}
+    places: dict[int, dict[int, int]] = {}
+    orbit = [0]
+    for v in orbit:
+        frame = itemgetter(*frames[v])
+        for g in images:
+            moved = frame(g)
+            w = g[v]
+            if w not in frames:
+                frames[w] = moved
+                orbit.append(w)
+                continue
+            place = places.get(w)
+            if place is None:
+                place = places[w] = dict(zip(frames[w], range(k)))
+            if tuple(map(place.__getitem__, moved)) not in members:
+                return None
+    return len(orbit)
+
+
 def _base_edge_orbit_size(t: AdmissibleTriple) -> int:
     """Size of the orbit of the unordered vertex pair {0, e_0} = {0, 1}
     under the triple's group, by breadth-first search over pairs."""
@@ -490,27 +580,30 @@ def _base_edge_orbit_size(t: AdmissibleTriple) -> int:
     return int(np.count_nonzero(seen))
 
 
-def _evaluate_candidate(t: AdmissibleTriple, d: int, n: int, target: int, max_witness_len: int):
+def _evaluate_candidate(
+    t: AdmissibleTriple, d: int, n: int, target: int, max_witness_len: int, keys
+):
     """Run the triple of one candidate of cell (d, n) that passed the
-    involution precheck through the rest of the pipeline.
+    involution precheck through the rest of the pipeline; ``keys`` is the
+    cell's ``_neighbourhood_keys``.
 
     Returns (reason, payload) where reason is a CellStats field name and
     payload is (invariants, witness) for kept candidates.  No group is
-    listed: the group order and base-vertex stabilizer come from the
-    triple's one Schreier count, which validation and invariants then
-    reuse, and the base-edge orbit from a search over vertex pairs.
+    listed: the group order and the orientability are decided by walks
+    on the base vertex's neighbourhood, whose count validation then
+    reuses, and the base-edge orbit by a search over vertex pairs.
     """
-    try:
-        orbit, stab = t.orbit_stabilizer(target)
-    except CapExceeded:
+    dihedral, rotations = keys
+    # G is vertex-transitive (lam moves 0 to 1), so a Schreier generator
+    # outside <rho,tau>, of order 2k, means |G| >= 2 * n^d * 2k > target;
+    # if there is none, the stabilizer is <rho,tau>
+    orbit = _neighbourhood_walk((t.lam, t.rho, t.tau), d, n, dihedral)
+    if orbit is None:
         return ("cap_exceeded", None)
+    stab = 2 * d * (n - 1)
     if orbit * stab != target:
         return ("wrong_order", None)
-
-    # <rho,tau> has order 2d(n-1) by construction, so once it fixes the
-    # base vertex, counting the stabilizer suffices for set equality
-    if not (t.rho(0) == 0 and t.tau(0) == 0) or stab != 2 * d * (n - 1):
-        return ("bad_stabilizer", None)
+    t._orbit_stabilizer = (orbit, stab)
 
     # the orbit of the base edge {0, e_0} must consist of |G|/4 distinct
     # vertex pairs, i.e. the edge stabilizer is exactly the Klein four;
@@ -521,7 +614,10 @@ def _evaluate_candidate(t: AdmissibleTriple, d: int, n: int, target: int, max_wi
     report = validate_admissible(t, cap=target)
     if not report.ok:
         return ("invalid", None)
-    inv = _invariants_from(t, report, target)
+    # <R,L> lies in G and is vertex-transitive too (L moves 0 to 1), so
+    # it has index 2, the orientable case, iff its stabilizer is <R>
+    orientable = _neighbourhood_walk((t.R, t.L), d, n, rotations) is not None
+    inv = _invariants_from(t, report, orientable)
     if inv.orientable:
         return ("orientable", None)
     wit = nonorientability_witness(t, max_witness_len)
@@ -558,10 +654,13 @@ def classify(
     tau are shared by the cell and checked once (if they fail, every
     clique survivor fails the precheck).  Only the remaining tuples are
     built, lazily and in lexicographic order.  Each of those is kept iff
-    its group has exactly the flag count 2d(n-1)n^d (decided from a
-    vertex orbit and Schreier generators of the vertex stabilizer), the
-    base-vertex stabilizer is <rho,tau>, the base-edge orbit is simple,
-    the triple validates, and the map is nonorientable.  Isomorphic
+    its group has exactly the flag count 2d(n-1)n^d with <rho,tau> as
+    the base-vertex stabilizer (decided by a Schreier walk that tests
+    each generator on the base vertex's neighbours only, after the two
+    facts it rests on are checked once for the cell; if either fails,
+    RuntimeError is raised), the base-edge orbit is simple, the triple
+    validates, and the map is nonorientable (decided by the same walk
+    on <R,L>).  Isomorphic
     survivors are deduplicated and the result is sorted by (covalency,
     petrie length, sigma), so output is deterministic.
     """
@@ -599,9 +698,10 @@ def classify(
     stats.precheck_rejected += len(fitting) * per_sigma0 - passing
 
     records: list[MapRecord] = []
+    keys = _neighbourhood_keys(canonical_r(d, n), canonical_tau(d, n), d, n) if passing else None
     for params in _candidates(d, n, sigma0s, pools):
         t = canonical_triple(params)
-        reason, payload = _evaluate_candidate(t, d, n, target, max_witness_len)
+        reason, payload = _evaluate_candidate(t, d, n, target, max_witness_len, keys)
         if reason != "kept":
             setattr(stats, reason, getattr(stats, reason) + 1)
             continue

@@ -1,14 +1,17 @@
 """The census fast paths against the slow exact paths they replace.
 
-``classify`` decides a candidate's group order from a vertex orbit and
-Schreier generators, and counts clique-rejected and precheck-rejected
+``classify`` decides a candidate's group order and orientability by
+Schreier walks that test each generator on the base vertex's
+neighbourhood only, and counts clique-rejected and precheck-rejected
 candidates from pool sizes without building them.  The oracles here are
 the closure pipeline it replaced, which lists the whole group and reads
 the order, the base-vertex stabilizer and the base-edge orbit off the
-element matrix; the involution precheck on the built generators; and
-the CellStats of the pipelines that built every candidate.  The group
-is listed by ``reference_closure``, the row-by-row closure loop that the
-block kernel ``perms._closure_raw`` replaced.
+element matrix; the generic Schreier walk ``perms.orbit_stabilizer``,
+``maps.is_orientable`` and sympy's group order, against the
+neighbourhood walks; the involution precheck on the built generators;
+and the CellStats of the pipelines that built every candidate.  The
+group is listed by ``reference_closure``, the row-by-row closure loop
+that the block kernel ``perms._closure_raw`` replaced.
 """
 
 import dataclasses
@@ -19,13 +22,25 @@ import numpy as np
 import pytest
 
 from regmaps import wreath
-from regmaps.maps import AdmissibleTriple
-from regmaps.perms import CapExceeded, Perm, _closure_raw, closure, inverse, is_involution
+from regmaps.maps import AdmissibleTriple, is_orientable
+from regmaps.perms import (
+    CapExceeded,
+    Perm,
+    _closure_raw,
+    closure,
+    identity,
+    inverse,
+    is_involution,
+    orbit_stabilizer,
+)
 from regmaps.wreath import (
     CanonicalTripleParams,
     CellStats,
+    canonical_r,
+    canonical_tau,
     canonical_triple,
     classify,
+    wreath_to_perm,
 )
 
 
@@ -148,8 +163,8 @@ def test_fast_verdicts_and_stats_match_the_closure_oracle(d, n, monkeypatch):
     fast_evaluate = wreath._evaluate_candidate
     streamed = []
 
-    def evaluate_both(t, d, n, target, max_witness_len):
-        verdict = fast_evaluate(t, d, n, target, max_witness_len)
+    def evaluate_both(t, d, n, target, *rest):
+        verdict = fast_evaluate(t, d, n, target, *rest)
         reason = "validated" if verdict[0] in VALIDATED else verdict[0]
         assert reason == closure_verdict(t, d, n, target), t.lam
         streamed.append(t.lam)
@@ -206,9 +221,9 @@ def test_counted_precheck_matches_the_built_precheck(d, n, clique_filter, monkey
     fast_evaluate = wreath._evaluate_candidate
     streamed = []
 
-    def recording_evaluate(t, d, n, target, max_witness_len):
+    def recording_evaluate(t, *rest):
         streamed.append(t.lam)
-        return fast_evaluate(t, d, n, target, max_witness_len)
+        return fast_evaluate(t, *rest)
 
     monkeypatch.setattr(wreath, "_evaluate_candidate", recording_evaluate)
     stats = CellStats()
@@ -281,3 +296,79 @@ def test_base_edge_orbit_matches_the_listed_group():
         matrix = np.stack([g.images for g in group.elements])
         t = AdmissibleTriple(*gens)
         assert wreath._base_edge_orbit_size(t) == closure_edge_orbit_size(matrix)
+
+
+# The neighbourhood walks against the generic Schreier walk: on every tuple
+# whose lam is an involution, with the clique filter off, the order walk
+# must raise-or-count like perms.orbit_stabilizer at the flag count, and
+# the orientability walk must agree with maps.is_orientable.  (1,3) is left
+# out: its map group cannot act faithfully on the 3 vertices.
+WALK_CELLS = [(d, n) for d in range(1, 5) for n in (3, 4, 6) if (d, n) != (1, 3)] + [(5, 4)]
+
+
+@pytest.mark.parametrize("d,n", WALK_CELLS)
+def test_neighbourhood_walks_match_the_generic_walk(d, n):
+    target = 2 * d * (n - 1) * n**d
+    dihedral, rotations = wreath._neighbourhood_keys(canonical_r(d, n), canonical_tau(d, n), d, n)
+    sigma0s = wreath._lam_involutory_sigma0s(wreath._sigma0_choices(n))
+    pools = [wreath._lam_involutory_picks(n, i == j) for i, j in wreath._slots(d)]
+    checked = 0
+    for params in wreath._candidates(d, n, sigma0s, pools):
+        t = canonical_triple(params)
+        orbit = wreath._neighbourhood_walk((t.lam, t.rho, t.tau), d, n, dihedral)
+        try:
+            generic = orbit_stabilizer((t.lam, t.rho, t.tau), 0, target)
+        except CapExceeded:
+            assert orbit is None, t.lam
+        else:
+            assert (orbit, 2 * d * (n - 1)) == generic, t.lam
+            orientable = wreath._neighbourhood_walk((t.R, t.L), d, n, rotations) is not None
+            assert orientable == is_orientable(t, target), t.lam
+        checked += 1
+    assert checked
+
+
+WREATH_CELLS = [(1, 4), (1, 5), (2, 3), (2, 4), (2, 5), (3, 3), (3, 4), (4, 3)]
+
+
+def random_wreath_perm(rng, d, n, fixing0):
+    """A random element of S_n wr S_d as a vertex permutation; with
+    ``fixing0`` every base entry fixes 0, so the element fixes vertex 0."""
+    base = [
+        Perm([0] + rng.sample(range(1, n), n - 1) if fixing0 else rng.sample(range(n), n))
+        for _ in range(d)
+    ]
+    return wreath_to_perm(base, Perm(rng.sample(range(d), d)))
+
+
+def test_neighbourhood_walk_matches_the_generic_walk_on_random_wreath_groups():
+    # any subgroup of Aut H(d,n): the walk, checked against the closure of
+    # the generators that fix 0, completes exactly when those generators
+    # already generate the whole stabilizer, and then counts the orbit
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    rng = random.Random(53)
+    outcomes = []
+    for _ in range(160):
+        d, n = rng.choice(WREATH_CELLS)
+        gens = [
+            random_wreath_perm(rng, d, n, fixing0=rng.random() < 0.5)
+            for _ in range(rng.randint(1, 3))
+        ]
+        nbrs = wreath._neighbourhood(d, n)
+        place = {x: j for j, x in enumerate(nbrs)}
+        seed = closure([g for g in gens if g(0) == 0] or [identity(n**d)], cap=10**6)
+        members = frozenset(tuple(place[g(x)] for x in nbrs) for g in seed.elements)
+        walk = wreath._neighbourhood_walk(gens, d, n, members)
+        orbit, stab = orbit_stabilizer(gens, 0, cap=10**6)
+        assert (walk is not None) == (stab == seed.order)
+        if walk is not None:
+            assert walk == orbit
+        if n**d <= 64:
+            group = combinatorics.PermutationGroup(
+                [combinatorics.Permutation(g.images.tolist()) for g in gens]
+            )
+            assert orbit * stab == group.order()
+            if walk is not None:
+                assert walk * seed.order == group.order()
+        outcomes.append(walk is not None)
+    assert True in outcomes and False in outcomes

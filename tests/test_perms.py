@@ -280,12 +280,7 @@ def test_orbit_stabilizer_raises_without_closing_past_a_full_seed(monkeypatch):
         calls.append(cap)
         return close(gen_arrays, degree, cap)
 
-    perms._stabilizer_seed.cache_clear()
     monkeypatch.setattr(perms, "_closure_raw", counting_close)
     with pytest.raises(CapExceeded):
         orbit_stabilizer(*SEED_AT_CAP)
     assert calls == [2]  # the seed alone, at cap 8 // |orbit| = 2
-    # the seed is memoized: asking again closes nothing
-    with pytest.raises(CapExceeded):
-        orbit_stabilizer(*SEED_AT_CAP)
-    assert calls == [2]

@@ -9,6 +9,7 @@ from regmaps import maps, wreath
 from regmaps.graphs import hamming
 from regmaps.maps import AdmissibleTriple, clique_submap, invariants, petrie_dual
 from regmaps.perms import (
+    MAX_DEGREE,
     Perm,
     closure,
     compose,
@@ -307,6 +308,7 @@ def test_no_other_theta_gives_a_nonorientable_map(d, n):
     # whose triple is prechecked and run through the rest of the pipeline
     target = 2 * d * (n - 1) * n**d
     r, tau = canonical_r(d, n), canonical_tau(d, n)
+    keys = wreath._neighbourhood_keys(r, tau, d, n)
     reasons = []
     for theta in wreath._perms_with_prefix(d, (0,), involutory=True):
         if theta == beta_perm(d):
@@ -321,10 +323,44 @@ def test_no_other_theta_gives_a_nonorientable_map(d, n):
                 t = AdmissibleTriple(wreath_to_perm(sigma, theta) * tau, r * tau, tau)
                 if all(is_involution(g) for g in (t.lam, t.rho, t.tau)):
                     reason, _ = wreath._evaluate_candidate(
-                        t, d, n, target, wreath.DEFAULT_WITNESS_LEN
+                        t, d, n, target, wreath.DEFAULT_WITNESS_LEN, keys
                     )
                     reasons.append(reason)
     assert reasons and "kept" not in reasons
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_neighbourhood_facts_hold_on_every_cell(d):
+    # R is transitive on the k = d(n-1) neighbours of vertex 0 and
+    # |<rho,tau>| = 2k, except on (1,3), whose map group cannot act
+    # faithfully on the 3 vertices and which classify answers with a
+    # fixed record
+    for n in range(3, 10):
+        if n**d > MAX_DEGREE:
+            continue
+        r, tau = canonical_r(d, n), canonical_tau(d, n)
+        if (d, n) == (1, 3):
+            with pytest.raises(RuntimeError, match="transitive"):
+                wreath._neighbourhood_keys(r, tau, d, n)
+            continue
+        k = d * (n - 1)
+        dihedral, rotations = wreath._neighbourhood_keys(r, tau, d, n)
+        assert len(dihedral) == 2 * k and len(rotations) == k
+        assert rotations < dihedral
+
+
+def test_a_failing_neighbourhood_fact_stops_classify(monkeypatch):
+    d, n = 3, 6
+    r, tau = canonical_r(d, n), canonical_tau(d, n)
+    # <R, identity> has k elements, not 2k
+    with pytest.raises(RuntimeError, match=r"\|<rho,tau>\| != 30"):
+        wreath._neighbourhood_keys(r, identity(n**d), d, n)
+    # R^3 is not transitive on the 15 neighbours; R^3 * tau is still an
+    # involution, so the cell passes the precheck and reaches the check
+    monkeypatch.setattr(wreath, "canonical_r", lambda d, n: r**3)
+    monkeypatch.setattr(wreath, "canonical_triple", lambda params: pytest.fail("built"))
+    with pytest.raises(RuntimeError, match="not transitive"):
+        classify(d, n)
 
 
 def test_classify_budget():
@@ -513,6 +549,25 @@ def test_records_json_rejects_a_tampered_census_note():
     for note in ("N1.1", None):
         with pytest.raises(ValueError, match="census note"):
             records_from_json(json.dumps([{**obj, "census_note": note}]))
+
+
+def test_a_record_missing_a_field_is_rejected_by_name():
+    [obj] = json.loads(records_to_json(classify(2, 3)))
+    for name in ("theta", "d", "sigma", "type", "genus", "group_order"):
+        with pytest.raises(ValueError, match=f"no '{name}' field"):
+            records_from_json(json.dumps([{k: v for k, v in obj.items() if k != name}]))
+    kind = {k: v for k, v in obj["type"].items() if k != "r"}
+    with pytest.raises(ValueError, match="record type has no 'r' field"):
+        records_from_json(json.dumps([{**obj, "type": kind}]))
+
+
+def test_a_record_that_is_not_an_object_is_rejected():
+    for record in (5, [1, 2], "d"):
+        with pytest.raises(ValueError, match="not a JSON object"):
+            records_from_json(json.dumps([record]))
+    [obj] = json.loads(records_to_json(classify(2, 3)))
+    with pytest.raises(ValueError, match="record type is not a JSON object"):
+        records_from_json(json.dumps([{**obj, "type": 4}]))
 
 
 def test_k3_record_with_other_parameters_is_rejected():
