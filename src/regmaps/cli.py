@@ -108,7 +108,7 @@ def cmd_invariants(args) -> int:
     report = validate_admissible(triple, cap=args.budget)
     inv = None
     if report.ok:
-        inv = _invariants_from(triple, report, is_orientable(triple, cap=args.budget))
+        inv = _invariants_from(triple, report.group_order, is_orientable(triple, cap=args.budget))
     if args.format == "json":
         payload = {
             "validation": {

@@ -6,13 +6,13 @@ and face, tau the base vertex and edge.  All invariants are computed
 group-theoretically from element orders and subgroup orders; the orders
 of the map group and of its rotation subgroup <R, L> come from
 ``perms.orbit_stabilizer``, so validation, orientability and invariants
-never list either group.  A census candidate's triple arrives with its
-order counted already and its orientability decided, both by the
-census's own walk (``wreath``), and ``_invariants_from`` takes them as
-they are.  The underlying graph is recovered from cosets,
-never read off the carrier domain, because the group may act
-unfaithfully on the graph's vertices (the 4-cycle map realized on the
-octagon is the standard example); only that needs the listed group.
+never list either group.  A census candidate is never validated here:
+the census's own walk (``wreath``) proves that it would pass, and hands
+its group order and orientability to ``_invariants_from``.  The
+underlying graph is recovered from cosets, never read off the carrier
+domain, because the group may act unfaithfully on the graph's vertices
+(the 4-cycle map realized on the octagon is the standard example); only
+that needs the listed group.
 """
 
 from __future__ import annotations
@@ -258,23 +258,17 @@ def invariants(t: AdmissibleTriple, cap: int = DEFAULT_BUDGET) -> MapInvariants:
     report = validate_admissible(t, cap)
     if not report.ok:
         raise InvalidTripleError(f"triple failed validation: {report.failed()}")
-    return _invariants_from(t, report, is_orientable(t, cap))
+    return _invariants_from(t, report.group_order, is_orientable(t, cap))
 
 
-def _invariants_from(
-    t: AdmissibleTriple, report: ValidationReport, orientable: bool
-) -> MapInvariants:
-    """``invariants`` for a caller that holds the triple's passing
-    validation report and its orientability already, so neither the
-    stabilizer checks nor the orientability are decided twice."""
-    order = report.group_order
-    assert order is not None
+def _invariants_from(t: AdmissibleTriple, order: int, orientable: bool) -> MapInvariants:
+    """``invariants`` for a caller that holds the order of a valid
+    triple's group and its orientability already: a passing validation
+    report's order (so 4, 2q and 2p divide it), or a census candidate's,
+    whose walk proves that the triple would validate."""
     q = element_order(t.R)
     p = element_order(t.lam * t.rho)
     r = element_order(t.lam * t.rho * t.tau)
-    for divisor, what in ((2 * q, "2q"), (4, "4"), (2 * p, "2p")):
-        if order % divisor:
-            raise InvalidTripleError(f"group order {order} not divisible by {what}")
     vertices = order // (2 * q)
     edges = order // 4
     faces = order // (2 * p)

@@ -2,12 +2,15 @@
 
 ``classify`` decides a candidate's group order and orientability by
 Schreier walks that test each generator on the base vertex's
-neighbourhood only, and counts clique-rejected and precheck-rejected
-candidates from pool sizes without building them.  The oracles here are
-the closure pipeline it replaced, which lists the whole group and reads
-the order, the base-vertex stabilizer and the base-edge orbit off the
-element matrix; the generic Schreier walk ``perms.orbit_stabilizer``,
-``maps.is_orientable`` and sympy's group order, against the
+neighbourhood only, keeps every nonorientable candidate whose order walk
+completes without checking it further, and counts clique-rejected and
+precheck-rejected candidates from pool sizes without building them.  The
+oracles here are the closure pipeline it replaced, which lists the whole
+group, reads the order, the base-vertex stabilizer and the base-edge
+orbit off the element matrix, and validates the triple; the generic
+Schreier walk ``perms.orbit_stabilizer``, ``maps.is_orientable``, a
+search over vertex pairs for the base-edge orbit,
+``maps.validate_admissible`` and sympy's group order, against the
 neighbourhood walks; the involution precheck on the built generators;
 and the CellStats of the pipelines that built every candidate.  The
 group is listed by ``reference_closure``, the row-by-row closure loop
@@ -22,7 +25,7 @@ import numpy as np
 import pytest
 
 from regmaps import wreath
-from regmaps.maps import AdmissibleTriple, is_orientable
+from regmaps.maps import AdmissibleTriple, is_orientable, validate_admissible
 from regmaps.perms import (
     CapExceeded,
     Perm,
@@ -96,16 +99,16 @@ def test_closure_kernel_matches_the_row_by_row_reference():
             assert fast_keys == keys
 
 
-# validation, orientability and invariants run on the listed group in both
-# pipelines, so a candidate that passes the order and graph checks is
-# compared only on having reached them
-VALIDATED = ("invalid", "orientable", "kept")
+# the fast pipeline keeps or rejects as orientable every candidate whose
+# walk completes; the oracle then only needs it to pass validation, since
+# orientability is checked against maps.is_orientable by the walk tests
+VALIDATED = ("orientable", "kept")
 
 
 def closure_verdict(t, d, n, target):
     """The CellStats reason of the full-closure pipeline for the triple of
     a candidate of cell (d, n), or "validated" for a candidate that passes
-    on to validation."""
+    every check including ``validate_admissible``."""
     if not all(is_involution(g) for g in (t.lam, t.rho, t.tau)):
         return "precheck_rejected"
     try:
@@ -120,6 +123,8 @@ def closure_verdict(t, d, n, target):
         return "bad_stabilizer"
     if closure_edge_orbit_size(matrix) != target // 4:
         return "not_simple"
+    if not validate_admissible(t, target).ok:
+        return "invalid"
     return "validated"
 
 
@@ -128,6 +133,28 @@ def closure_edge_orbit_size(matrix):
     a, b = matrix[:, 0], matrix[:, 1]
     degree = matrix.shape[1]
     return int(np.unique(np.minimum(a, b) * degree + np.maximum(a, b)).size)
+
+
+def pair_orbit_size(t):
+    """Size of the orbit of the unordered vertex pair {0, 1} under the
+    triple's group, by breadth-first search over pairs, without listing
+    the group; it needs a degree x degree bool array."""
+    degree = t.degree
+    gens = (t.lam.images, t.rho.images, t.tau.images)
+    # the pair {a, b} with a < b is coded a * degree + b
+    seen = np.zeros(degree * degree, dtype=bool)
+    seen[1] = True
+    frontier = np.array([1], dtype=np.int64)
+    while frontier.size:
+        a, b = np.divmod(frontier, degree)
+        images = np.concatenate(
+            [np.minimum(g[a], g[b]) * degree + np.maximum(g[a], g[b]) for g in gens]
+        )
+        images = images[~seen[images]]
+        images.sort()
+        frontier = images[np.flatnonzero(np.diff(images, prepend=-1))]
+        seen[frontier] = True
+    return int(np.count_nonzero(seen))
 
 
 # CellStats of the pipelines that built every candidate: the closure
@@ -295,14 +322,17 @@ def test_base_edge_orbit_matches_the_listed_group():
         group = closure(gens, cap=10_000)
         matrix = np.stack([g.images for g in group.elements])
         t = AdmissibleTriple(*gens)
-        assert wreath._base_edge_orbit_size(t) == closure_edge_orbit_size(matrix)
+        assert pair_orbit_size(t) == closure_edge_orbit_size(matrix)
 
 
 # The neighbourhood walks against the generic Schreier walk: on every tuple
 # whose lam is an involution, with the clique filter off, the order walk
 # must raise-or-count like perms.orbit_stabilizer at the flag count, and
-# the orientability walk must agree with maps.is_orientable.  (1,3) is left
-# out: its map group cannot act faithfully on the 3 vertices.
+# the orientability walk must agree with maps.is_orientable.  A completed
+# walk is all that classify checks before keeping a candidate, so each one
+# must also reach every vertex, have a base-edge orbit of target/4 pairs
+# and pass validate_admissible.  (1,3) is left out: its map group cannot
+# act faithfully on the 3 vertices.
 WALK_CELLS = [(d, n) for d in range(1, 5) for n in (3, 4, 6) if (d, n) != (1, 3)] + [(5, 4)]
 
 
@@ -322,6 +352,9 @@ def test_neighbourhood_walks_match_the_generic_walk(d, n):
             assert orbit is None, t.lam
         else:
             assert (orbit, 2 * d * (n - 1)) == generic, t.lam
+            assert orbit == n**d, t.lam
+            assert pair_orbit_size(t) == target // 4, t.lam
+            assert validate_admissible(t, target).ok, t.lam
             orientable = wreath._neighbourhood_walk((t.R, t.L), d, n, rotations) is not None
             assert orientable == is_orientable(t, target), t.lam
         checked += 1

@@ -416,7 +416,10 @@ def test_clique_filter_is_decided_once_per_n(monkeypatch):
     assert len(calls) == len(set(calls)) == 43
 
 
-def test_each_census_candidate_is_validated_once(monkeypatch):
+def test_classify_validates_no_candidate_and_its_records_revalidate(monkeypatch):
+    # a completed neighbourhood walk already proves every check of
+    # validate_admissible, so classify never runs it; loading the records
+    # runs it once per record, on triples rebuilt from the stored sigma
     validated = []
     validate = maps.validate_admissible
 
@@ -425,11 +428,11 @@ def test_each_census_candidate_is_validated_once(monkeypatch):
         return validate(t, cap)
 
     monkeypatch.setattr(maps, "validate_admissible", recording_validate)
-    monkeypatch.setattr(wreath, "validate_admissible", recording_validate)
-    stats = CellStats()
-    assert len(classify(2, 6, stats=stats)) == 2
-    assert len(validated) == stats.invalid + stats.orientable + stats.kept + stats.deduped
-    assert len({id(t) for t in validated}) == len(validated)
+    records = classify(2, 6)
+    assert len(records) == 2
+    assert validated == []
+    assert records_from_json(records_to_json(records)) == records
+    assert len(validated) == len(records)
 
 
 def test_classify_k3_special_cell():
@@ -559,12 +562,29 @@ def test_a_record_missing_a_field_is_rejected_by_name():
     kind = {k: v for k, v in obj["type"].items() if k != "r"}
     with pytest.raises(ValueError, match="record type has no 'r' field"):
         records_from_json(json.dumps([{**obj, "type": kind}]))
+    # a field of the wrong JSON type is refused by name too; an int is
+    # never a bool, so "orientable": 0 cannot load and be saved again as 0
+    wrong = [
+        ("theta", None), ("n", "4"), ("n", None), ("d", True), ("sigma", None),
+        ("sigma", [None]), ("sigma", [[1, 0, 2.5], [0, 1, 2]]), ("witness", "12"),
+        ("witness", {}), ("witness", ["1"]), ("orientable", 0), ("V", 1.0),
+        ("census_note", 3),
+    ]
+    for name, value in wrong:
+        with pytest.raises(ValueError, match=f"field '{name}'"):
+            records_from_json(json.dumps([{**obj, name: value}]))
+    with pytest.raises(ValueError, match="record type field 'q'"):
+        records_from_json(json.dumps([{**obj, "type": {**obj["type"], "q": "4"}}]))
 
 
 def test_a_record_that_is_not_an_object_is_rejected():
     for record in (5, [1, 2], "d"):
         with pytest.raises(ValueError, match="not a JSON object"):
             records_from_json(json.dumps([record]))
+    # nor is a census that is not an array of records
+    for text in ("3", "null", '{"a": 1}', '"d"'):
+        with pytest.raises(ValueError, match="census JSON is not an array"):
+            records_from_json(text)
     [obj] = json.loads(records_to_json(classify(2, 3)))
     with pytest.raises(ValueError, match="record type is not a JSON object"):
         records_from_json(json.dumps([{**obj, "type": 4}]))
