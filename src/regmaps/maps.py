@@ -6,13 +6,13 @@ and face, tau the base vertex and edge.  All invariants are computed
 group-theoretically from element orders and subgroup orders; the orders
 of the map group and of its rotation subgroup <R, L> come from
 ``perms.orbit_stabilizer``, so validation, orientability and invariants
-never list either group.  A census candidate is never validated here:
-the census's own walk (``wreath``) proves that it would pass, and hands
-its group order and orientability to ``_invariants_from``.  The
-underlying graph is recovered from cosets, never read off the carrier
-domain, because the group may act unfaithfully on the graph's vertices
-(the 4-cycle map realized on the octagon is the standard example); only
-that needs the listed group.
+never list either group.  A census candidate or record is not validated
+here: ``wreath`` decides it by the same walk on a smaller base, which
+proves it valid, and hands its order and orientability to
+``_invariants_from``.  The underlying graph is recovered from cosets,
+never read off the carrier domain, because the group may act
+unfaithfully on the graph's vertices (the 4-cycle map realized on the
+octagon is the standard example); only that needs the listed group.
 """
 
 from __future__ import annotations
@@ -264,8 +264,8 @@ def invariants(t: AdmissibleTriple, cap: int = DEFAULT_BUDGET) -> MapInvariants:
 def _invariants_from(t: AdmissibleTriple, order: int, orientable: bool) -> MapInvariants:
     """``invariants`` for a caller that holds the order of a valid
     triple's group and its orientability already: a passing validation
-    report's order (so 4, 2q and 2p divide it), or a census candidate's,
-    whose walk proves that the triple would validate."""
+    report's order (so 4, 2q and 2p divide it), or a census candidate's
+    or record's, whose walk proves that the triple would validate."""
     q = element_order(t.R)
     p = element_order(t.lam * t.rho)
     r = element_order(t.lam * t.rho * t.tau)

@@ -5,19 +5,18 @@ needed, as for a coset graph, is realized as the full set of them: the
 map groups this package deals in have order a few thousand at most, so
 plain breadth-first closure with a hash set keeps membership, subgroup
 index and element orders exact, cheap and deterministic.  A group whose
-order is all that is wanted is decided by ``orbit_stabilizer`` instead:
-one point orbit plus the stabilizer that Schreier's lemma generates, so
-only the stabilizer is ever listed.  That settles the group orders behind
-the validation, invariants and orientability (the index of the rotation
-subgroup <R, L>) of a parsed or constructed map, and it is the oracle
-for the census, which decides its candidates' orders with a walk of its
-own on the base vertex's neighbourhood (``wreath``).
+order is all that is wanted is decided by Schreier's lemma, in one walk,
+``schreier_walk``, which tests Schreier generators on a base only.  With
+the whole domain as the base it is ``orbit_stabilizer``, which lists
+only the stabilizer and settles the validation, invariants and
+orientability (the index of the rotation subgroup <R, L>) of a parsed or
+constructed map; with the base vertex's neighbours as the base it
+decides the census's candidates and records (``wreath``).
 
 The closure kernel keeps its elements as rows of one growing int64
 matrix; each breadth-first level multiplies the previous level's rows
 by a generator in one block, and copies in only the rows it has not
-seen.  ``orbit_stabilizer`` stops by Lagrange's theorem as soon as a
-stabilizer already at its cap meets a non-member, without closing again.
+seen.
 
 Composition convention: ``p * q`` applies ``p`` first and ``q`` second,
 so exponent notation composes the usual way, x^(pq) = (x^p)^q.
@@ -27,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -47,6 +47,7 @@ __all__ = [
     "perm_from_text",
     "perm_to_text",
     "power",
+    "schreier_walk",
     "subgroup_index",
 ]
 
@@ -72,9 +73,13 @@ class Perm:
     __slots__ = ("images", "key")
 
     def __init__(self, images):
-        arr = np.array(images, dtype=np.int64)
+        arr = np.asarray(images)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("images must be a nonempty flat sequence")
+        # a cast would truncate floats and turn bools and digit strings into ints
+        if arr.dtype.kind not in "iu":
+            raise ValueError(f"images must be integers, got {arr.dtype} values")
+        arr = arr.astype(np.int64)
         n = int(arr.size)
         if n > MAX_DEGREE:
             raise ValueError(f"degree {n} exceeds the supported bound {MAX_DEGREE}")
@@ -300,18 +305,58 @@ def closure(generators: Iterable[Perm], cap: int) -> GroupClosure:
     return GroupClosure(elements, len(elements), gens, frozenset(seen))
 
 
+def schreier_walk(
+    images: Sequence[Sequence[int]], point: int, base: Sequence[int], members
+) -> int | tuple[int, ...]:
+    """Schreier's lemma on a base: the orbit length of ``point`` under the
+    group generated by the given image lists, or the first Schreier
+    generator of its stabilizer outside ``members``.
+
+    ``base`` is a point set that the stabilizer of ``point`` maps onto
+    itself and acts on faithfully, such as the whole domain.  A
+    stabilizer element is known by its position tuple over ``base``, whose
+    j-th entry is the position of the image of base[j]; ``members`` and a
+    returned generator are such tuples.  Each visited point v keeps only
+    its frame F_v = t_v[base], where t_v takes ``point`` to v: a tree edge
+    v -> w = v^g sets F_w = g[F_v], and on any other edge the Schreier
+    generator t_v * g * t_w^-1 sends base[j] to the position of g[F_v][j]
+    in F_w.  When ``members`` is a subgroup of the stabilizer, the walk
+    completes exactly when it is the whole of it.
+    """
+    k = len(base)
+    frames = {point: tuple(base)}
+    places: dict[int, dict[int, int]] = {}
+    orbit = [point]
+    for v in orbit:
+        frame = frames[v]
+        # itemgetter of one index returns a bare value, not a 1-tuple
+        pick = itemgetter(*frame) if k > 1 else (lambda g, x=frame[0]: (g[x],))
+        for g in images:
+            moved = pick(g)
+            w = g[v]
+            if w not in frames:
+                frames[w] = moved
+                orbit.append(w)
+                continue
+            place = places.get(w)
+            if place is None:
+                place = places[w] = dict(zip(frames[w], range(k)))
+            schreier = tuple(map(place.__getitem__, moved))
+            if schreier not in members:
+                return schreier
+    return len(orbit)
+
+
 def orbit_stabilizer(
     generators: Iterable[Perm], point: int, cap: int
 ) -> tuple[int, int]:
     """(orbit length of ``point``, order of its stabilizer) in the group
     generated by ``generators``, whose order is their product.
 
-    Schreier's lemma: with t_v a transversal element taking ``point`` to
-    v, the elements t_v * g * t_(v^g)^-1 over orbit points v and
-    generators g generate the stabilizer.  Each one is tested for
-    membership in the stabilizer found so far, which starts as the
-    closure of the generators that fix ``point``; a non-member is added
-    and the stabilizer closed again.  Only the stabilizer is ever
+    The stabilizer starts as the closure of the generators that fix
+    ``point``; ``schreier_walk`` over the whole domain either completes,
+    or returns a Schreier generator outside it, which is added before the
+    stabilizer is closed and walked again.  Only the stabilizer is ever
     listed.  Raises CapExceeded as soon as the group order must pass
     ``cap``, exactly when ``closure(generators, cap)`` would: the
     stabilizer may hold at most cap // |orbit| elements, and a proper
@@ -322,9 +367,7 @@ def orbit_stabilizer(
     if not 0 <= point < degree:
         raise ValueError(f"point {point} is outside 0..{degree - 1}")
 
-    images = [g.images for g in gens]
-    lists = [g.tolist() for g in images]
-
+    lists = [g.images.tolist() for g in gens]
     # the orbit first: its length bounds the stabilizer by cap // |orbit|
     seen = {point}
     orbit = [point]
@@ -338,36 +381,18 @@ def orbit_stabilizer(
     stab_cap = cap // len(orbit)
 
     stab_gens = [g.images for g in gens if g(point) == point]
-    try:
-        members = _closure_raw(stab_gens, degree, stab_cap)[1]
-    except CapExceeded:
-        raise CapExceeded(cap) from None
-    # the same breadth-first search again, now carrying a transversal:
-    # trans[w] takes point to w; a tree edge v -> v^g = w defines trans[w]
-    # and every other edge gives the Schreier generator trans[v]*g*trans[w]^-1
-    trans = {point: np.arange(degree, dtype=np.int64)}
-    trans_inv = {}
-    for v in orbit:
-        for g, g_list in zip(images, lists):
-            w = g_list[v]
-            moved = g[trans[v]]
-            if w not in trans:
-                trans[w] = moved
-                continue
-            if w not in trans_inv:
-                trans_inv[w] = np.empty(degree, dtype=np.int64)
-                trans_inv[w][trans[w]] = np.arange(degree)
-            schreier = trans_inv[w][moved]
-            if schreier.tobytes() in members:
-                continue
-            if 2 * len(members) > stab_cap:
-                raise CapExceeded(cap)
-            stab_gens.append(schreier)
-            try:
-                members = _closure_raw(stab_gens, degree, stab_cap)[1]
-            except CapExceeded:
-                raise CapExceeded(cap) from None
-    return len(orbit), len(members)
+    while True:
+        try:
+            matrix = _closure_raw(stab_gens, degree, stab_cap)[0]
+        except CapExceeded:
+            raise CapExceeded(cap) from None
+        members = set(map(tuple, matrix.tolist()))
+        schreier = schreier_walk(lists, point, range(degree), members)
+        if not isinstance(schreier, tuple):
+            return len(orbit), len(members)
+        if 2 * len(members) > stab_cap:
+            raise CapExceeded(cap)
+        stab_gens.append(np.array(schreier, dtype=np.int64))
 
 
 def contains(group: GroupClosure, p: Perm) -> bool:

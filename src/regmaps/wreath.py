@@ -11,11 +11,11 @@ the ones that fail the clique filter or the involution precheck without
 building them, streams the rest, keeps the candidates whose group is a
 flag-regular nonorientable map on H(d,n), and emits them as census records.
 Every candidate lies in Aut H(d,n), whose vertex stabilizer acts
-faithfully on the base vertex's k = d(n-1) neighbours, so its group order
-and orientability are decided by Schreier walks that test each generator
-on those k points alone (``_neighbourhood_walk``); a completed order walk
-also proves the triple valid, so only parsed and constructed triples and
-records read back from JSON meet ``perms.orbit_stabilizer`` and validation.
+faithfully on the base vertex's k = d(n-1) neighbours N(0), so its group
+order and orientability are decided by ``perms.schreier_walk`` with N(0)
+as the base: each Schreier generator is tested on those k points alone.
+A completed order walk also proves the triple valid, so no candidate is
+validated; a census record read back from JSON is decided the same way.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import itemgetter
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -53,6 +52,7 @@ from .perms import (
     inverse,
     is_involution,
     power,
+    schreier_walk,
 )
 
 __all__ = [
@@ -417,7 +417,9 @@ def records_from_json(text: str) -> list[MapRecord]:
 
 
 def _revalidate_record(rec: MapRecord) -> None:
-    if (rec.d, rec.n) == (1, 3) and rec.sigma != K3_SIGMA:
+    """Decide a loaded record as the census decided it, or raise ValueError."""
+    cell = (rec.d, rec.n)
+    if cell == (1, 3) and rec.sigma != K3_SIGMA:
         raise ValueError("the (1,3) record carries a fixed sigma")
     t = rec.triple()
     expected_order = 2 * rec.d * (rec.n - 1) * rec.n**rec.d
@@ -425,7 +427,15 @@ def _revalidate_record(rec: MapRecord) -> None:
         raise ValueError(
             f"record group order {rec.invariants.group_order} != {expected_order}"
         )
-    recomputed = invariants(t, cap=expected_order)
+    if cell == (1, 3):
+        recomputed = invariants(t, cap=expected_order)
+    elif not (_rho_tau_involutory(*cell) and is_involution(t.lam)):
+        raise ValueError("record triple fails the census's involution precheck")
+    else:
+        # the census's order and orientability walks
+        reason, recomputed = _evaluate_candidate(t, *cell, expected_order)
+        if reason != "kept":
+            raise ValueError(f"record triple is not a kept census map: {reason}")
     if recomputed != rec.invariants:
         raise ValueError(f"stored invariants {rec.invariants} != recomputed {recomputed}")
     note = CENSUS_NOTES.get((rec.d, rec.n) + recomputed.type_triple)
@@ -444,8 +454,8 @@ def _revalidate_record(rec: MapRecord) -> None:
 @dataclass
 class CellStats:
     """Counts of one census cell, each set by the stage its comment names.
-    The four never set named checks that a completed order walk makes
-    redundant (see ``_evaluate_candidate``); they stay, reading 0, because
+    The five never set name checks that the walks make redundant (see
+    ``_evaluate_candidate`` and ``classify``); they stay, reading 0, because
     ``perfbench/references.json`` holds every field and is compared field
     by field."""
 
@@ -458,8 +468,8 @@ class CellStats:
     not_simple: int = 0  # never set
     invalid: int = 0  # never set
     orientable: int = 0  # the walk on <R,L>, when it completes
-    kept: int = 0  # the records the dedup leaves
-    deduped: int = 0  # the dedup, on a record isomorphic to an earlier one
+    kept: int = 0  # the walk on <R,L>, when it finds a generator outside <R>
+    deduped: int = 0  # never set
 
 
 def _clique_action_fits(n: int, sigma0: Perm) -> bool:
@@ -517,9 +527,10 @@ def _neighbourhood(d: int, n: int) -> tuple[int, ...]:
     return tuple(a * n**i for i in range(d) for a in range(1, n))
 
 
-def _neighbourhood_keys(r: Perm, tau: Perm, d: int, n: int) -> tuple[frozenset, frozenset]:
-    """The actions on N(0) of <rho,tau> = <R,tau> and of <R>, each as the
-    set of its elements' position tuples over ``_neighbourhood(d, n)``.
+@lru_cache(maxsize=None)
+def _neighbourhood_keys(d: int, n: int) -> tuple[frozenset, frozenset]:
+    """The actions on N(0) of the cell's <rho,tau> = <R,tau> and <R>, each
+    as the set of its elements' position tuples over ``_neighbourhood``.
 
     Raises RuntimeError unless R is transitive on N(0) and |<R,tau>| = 2k,
     the two facts, true by construction, that make the walks of
@@ -530,6 +541,7 @@ def _neighbourhood_keys(r: Perm, tau: Perm, d: int, n: int) -> tuple[frozenset, 
     nbrs = _neighbourhood(d, n)
     k = len(nbrs)
     place = dict(zip(nbrs, range(k)))
+    r, tau = canonical_r(d, n), canonical_tau(d, n)
     # R and tau fix the base vertex, so they permute its neighbours
     r_local, tau_local = (Perm([place[p(x)] for x in nbrs]) for p in (r, tau))
     rotations = frozenset(tuple(power(r_local, i).images.tolist()) for i in range(k))
@@ -544,55 +556,19 @@ def _neighbourhood_keys(r: Perm, tau: Perm, d: int, n: int) -> tuple[frozenset, 
     return frozenset(tuple(e.images.tolist()) for e in dihedral), rotations
 
 
-def _neighbourhood_walk(
-    gens: Sequence[Perm], d: int, n: int, members: frozenset
-) -> Optional[int]:
-    """The orbit length of vertex 0 under <gens>, a subgroup of Aut H(d,n),
-    or None as soon as a Schreier generator of its stabilizer acts on N(0)
-    outside ``members``, a set of position tuples over ``_neighbourhood``.
-
-    The stabilizer of 0 in Aut H(d,n) acts faithfully on N(0): an element
-    fixing 0 and every a*n^i has trivial base and top.  So the Schreier
-    generators are tested on N(0) alone.  Each visited vertex v keeps its
-    frame F_v = t_v[N(0)], where the transversal element t_v takes 0 to v.
-    A tree edge v -> w = v^g sets F_w = g[F_v]; on any other edge the
-    Schreier generator t_v*g*t_w^-1 sends the j-th neighbour to the
-    position of g[F_v][j] in F_w.  When ``members`` is the action of a
-    subgroup fixing 0, the walk completes exactly when that subgroup is
-    the whole stabilizer (Schreier's lemma).
-    """
-    nbrs = _neighbourhood(d, n)
-    k = len(nbrs)
-    images = [g.images.tolist() for g in gens]
-    frames = {0: nbrs}
-    places: dict[int, dict[int, int]] = {}
-    orbit = [0]
-    for v in orbit:
-        frame = itemgetter(*frames[v])
-        for g in images:
-            moved = frame(g)
-            w = g[v]
-            if w not in frames:
-                frames[w] = moved
-                orbit.append(w)
-                continue
-            place = places.get(w)
-            if place is None:
-                place = places[w] = dict(zip(frames[w], range(k)))
-            if tuple(map(place.__getitem__, moved)) not in members:
-                return None
-    return len(orbit)
+@lru_cache(maxsize=None)
+def _shared_images(d: int, n: int) -> tuple[list[int], list[int], list[int]]:
+    """The image lists of rho, tau and R, shared by the cell's candidates."""
+    tau, r = canonical_tau(d, n), canonical_r(d, n)
+    return (r * tau).images.tolist(), tau.images.tolist(), r.images.tolist()
 
 
-def _evaluate_candidate(
-    t: AdmissibleTriple, d: int, n: int, target: int, max_witness_len: int, keys
-):
-    """Run the triple of one candidate of cell (d, n) that passed the
-    involution precheck through the rest of the pipeline; ``keys`` is the
-    cell's ``_neighbourhood_keys``.
+def _evaluate_candidate(t: AdmissibleTriple, d: int, n: int, target: int):
+    """Decide the triple of a candidate of cell (d, n) that passed the
+    involution precheck; its rho and tau are the cell's (``_shared_images``).
 
-    Returns (reason, payload) where reason is "cap_exceeded", "orientable"
-    or "kept", and payload is (invariants, witness) for kept candidates.
+    Returns (reason, invariants) where reason is "cap_exceeded",
+    "orientable" or "kept", and invariants is None unless it is kept.
     No group is listed.  A completed order walk shows that the stabilizer
     G_0 of vertex 0 is <rho,tau>, dihedral of order 2k, acting faithfully
     on the k = d(n-1) neighbours N(0), on which R is transitive (the
@@ -605,25 +581,25 @@ def _evaluate_candidate(
         1, so the stabilizer of the pair {0,1} has order 4 and the orbit
         of the base edge is target/4 pairs: the map's graph is H(d,n);
     (c) every check of ``maps.validate_admissible`` holds: lam, rho and
-        tau are involutions (the precheck and the cell's check); L^2 = 1
-        by construction, so <lam,tau> is a Klein four-group; R acts on
-        N(0) as a k-cycle, so q = k and |<rho,tau>| = 2q; <lam,rho> is
-        generated by two distinct involutions, so it is dihedral of order
-        2p; and 4, 2q and 2p divide |G| by Lagrange.
+        tau are involutions; L^2 = 1 by construction, so <lam,tau> is a
+        Klein four-group; R acts on N(0) as a k-cycle, so q = k and
+        |<rho,tau>| = 2q; <lam,rho> is generated by two distinct
+        involutions, so it is dihedral of order 2p; and 4, 2q and 2p
+        divide |G| by Lagrange.
     """
-    dihedral, rotations = keys
+    nbrs = _neighbourhood(d, n)
+    dihedral, rotations = _neighbourhood_keys(d, n)
+    rho, tau, r = _shared_images(d, n)
     # G is vertex-transitive (lam moves 0 to 1), so a Schreier generator
     # outside <rho,tau>, of order 2k, means |G| >= 2 * n^d * 2k > target;
     # if there is none, the stabilizer is <rho,tau>
-    if _neighbourhood_walk((t.lam, t.rho, t.tau), d, n, dihedral) is None:
+    if isinstance(schreier_walk((t.lam.images.tolist(), rho, tau), 0, nbrs, dihedral), tuple):
         return ("cap_exceeded", None)
     # <R,L> lies in G and is vertex-transitive too (L moves 0 to 1), so
     # it has index 2, the orientable case, iff its stabilizer is <R>
-    if _neighbourhood_walk((t.R, t.L), d, n, rotations) is not None:
+    if not isinstance(schreier_walk((r, t.L.images.tolist()), 0, nbrs, rotations), tuple):
         return ("orientable", None)
-    inv = _invariants_from(t, target, orientable=False)
-    wit = nonorientability_witness(t, max_witness_len)
-    return ("kept", (inv, tuple(wit) if wit is not None else None))
+    return ("kept", _invariants_from(t, target, orientable=False))
 
 
 def _k3_record(max_witness_len: int) -> MapRecord:
@@ -647,30 +623,37 @@ def classify(
     """All nonorientable regular embeddings of H(d,n), as census records.
 
     Candidates are the canonical parameter tuples with theta = beta_d.
-    They are counted from the sizes of their parameter pools, and the
-    count is checked against ``budget`` before any is built.  The clique
-    filter depends on sigma_0 alone, so it is applied to the sigma_0
-    choices.  The involution precheck on lam = L*tau splits into one test
-    per parameter, so it is applied to the sigma_0 choices and to each
-    slot's pool, and the tuples failing it are counted, not built; rho and
-    tau are shared by the cell and checked once (if they fail, every
-    clique survivor fails the precheck).  Only the remaining tuples are
-    built, lazily and in lexicographic order.  Each of those is kept iff
-    <rho,tau> is its group's base-vertex stabilizer and its map is
-    nonorientable, both decided by Schreier walks that test each
-    generator on the base vertex's neighbours only, after the two facts
+    The degree n^d is checked against ``perms.MAX_DEGREE``, and the
+    candidates, counted from the sizes of their parameter pools, against
+    ``budget``, before any is built; either raises BudgetExceeded.  The
+    clique filter depends on sigma_0 alone, so it is applied to the
+    sigma_0 choices.  The involution precheck on lam = L*tau splits into
+    one test per parameter, so it is applied to the sigma_0 choices and
+    to each slot's pool, and the tuples failing it are counted, not
+    built; rho and tau are shared by the cell and checked once (if they
+    fail, every clique survivor fails the precheck).  Only the remaining
+    tuples are built, lazily and in lexicographic order, and each is
+    decided by the walks of ``_evaluate_candidate``, after the two facts
     they rest on are checked once for the cell (if either fails,
-    RuntimeError is raised).  A completed order walk alone proves that
-    the group has the flag count 2d(n-1)n^d, that the map's graph is
-    H(d,n) and that the triple validates (see ``_evaluate_candidate``),
-    so none of these is checked again.  Isomorphic survivors are
-    deduplicated and the result is sorted by (covalency, petrie length,
-    sigma), so output is deterministic.
+    RuntimeError is raised).
+
+    No two kept candidates are isomorphic maps, so none is deduplicated
+    (``stats.deduped`` stays 0).  An isomorphism of two candidates is an
+    automorphism psi of H(d,n) conjugating one triple to the other.  All
+    candidates of the cell share rho and tau, so psi commutes with R =
+    rho*tau and fixes vertex 0, the only fixed point of R.  Aut H(d,n)_0
+    acts faithfully on N(0), where psi commutes with the k-cycle R, so psi
+    is a power R^j; both lams send 0 to 1, so R^j fixes 1 and j = 0.
+    The result is sorted by (covalency, petrie length, sigma), so output
+    is deterministic.
     """
     if d < 1 or n < 3:
         raise ValueError("classify requires d >= 1 and n >= 3")
     if stats is None:
         stats = CellStats()
+    # n^b > MAX_DEGREE for its bit length b, so clipping d at b is exact and cheap
+    if n ** min(d, MAX_DEGREE.bit_length()) > MAX_DEGREE:
+        raise BudgetExceeded(f"degree {n}^{d} exceeds the supported bound {MAX_DEGREE}")
     if (d, n) == (1, 3):
         stats.candidates = 1
         stats.kept = 1
@@ -699,38 +682,29 @@ def classify(
         pools = [_lam_involutory_picks(n, i == j) for i, j in slots]
     passing = len(sigma0s) * math.prod(len(pool) for pool in pools)
     stats.precheck_rejected += len(fitting) * per_sigma0 - passing
+    if passing:
+        _neighbourhood_keys(d, n)  # the cell's facts, checked before any build
 
     records: list[MapRecord] = []
-    keys = _neighbourhood_keys(canonical_r(d, n), canonical_tau(d, n), d, n) if passing else None
     for params in _candidates(d, n, sigma0s, pools):
         t = canonical_triple(params)
-        reason, payload = _evaluate_candidate(t, d, n, target, max_witness_len, keys)
+        reason, inv = _evaluate_candidate(t, d, n, target)
         if reason != "kept":
             setattr(stats, reason, getattr(stats, reason) + 1)
             continue
-        inv, wit = payload
+        wit = nonorientability_witness(t, max_witness_len)
+        wit = tuple(wit) if wit is not None else None
         note = CENSUS_NOTES.get((d, n) + inv.type_triple)
         records.append(MapRecord(d, n, params.sigma, inv, wit, note))
-
-    kept: list[MapRecord] = []
-    for rec in records:
-        if any(
-            rec.invariants.type_triple == other.invariants.type_triple
-            and maps_isomorphic(rec, other)
-            for other in kept
-        ):
-            stats.deduped += 1
-            continue
-        kept.append(rec)
-    stats.kept = len(kept)
-    kept.sort(
+    stats.kept = len(records)
+    records.sort(
         key=lambda r: (
             r.invariants.covalency,
             r.invariants.petrie,
             tuple(tuple(int(x) for x in s.images) for s in r.sigma),
         )
     )
-    return kept
+    return records
 
 
 # ---------------------------------------------------------------------------

@@ -1,20 +1,20 @@
 """The census fast paths against the slow exact paths they replace.
 
 ``classify`` decides a candidate's group order and orientability by
-Schreier walks that test each generator on the base vertex's
-neighbourhood only, keeps every nonorientable candidate whose order walk
-completes without checking it further, and counts clique-rejected and
+``perms.schreier_walk`` on the base vertex's neighbourhood, keeps every
+nonorientable candidate whose order walk completes without checking it
+further or deduplicating it, and counts clique-rejected and
 precheck-rejected candidates from pool sizes without building them.  The
 oracles here are the closure pipeline it replaced, which lists the whole
 group, reads the order, the base-vertex stabilizer and the base-edge
-orbit off the element matrix, and validates the triple; the generic
-Schreier walk ``perms.orbit_stabilizer``, ``maps.is_orientable``, a
-search over vertex pairs for the base-edge orbit,
-``maps.validate_admissible`` and sympy's group order, against the
-neighbourhood walks; the involution precheck on the built generators;
-and the CellStats of the pipelines that built every candidate.  The
-group is listed by ``reference_closure``, the row-by-row closure loop
-that the block kernel ``perms._closure_raw`` replaced.
+orbit off the element matrix, and validates the triple; the
+full-transversal Schreier walk ``reference_orbit_stabilizer`` that the
+frame walk replaced, a search over vertex pairs for the base-edge orbit,
+``maps.validate_admissible``, ``wreath.triples_map_isomorphic`` and
+sympy's group order, against the walks; the involution precheck on the
+built generators; and the CellStats of the pipelines that built every
+candidate.  The group is listed by ``reference_closure``, the row-by-row
+closure loop that the block kernel ``perms._closure_raw`` replaced.
 """
 
 import dataclasses
@@ -25,7 +25,8 @@ import numpy as np
 import pytest
 
 from regmaps import wreath
-from regmaps.maps import AdmissibleTriple, is_orientable, validate_admissible
+from regmaps.graphs import hamming
+from regmaps.maps import AdmissibleTriple, validate_admissible
 from regmaps.perms import (
     CapExceeded,
     Perm,
@@ -35,14 +36,14 @@ from regmaps.perms import (
     inverse,
     is_involution,
     orbit_stabilizer,
+    schreier_walk,
 )
 from regmaps.wreath import (
     CanonicalTripleParams,
     CellStats,
-    canonical_r,
-    canonical_tau,
     canonical_triple,
     classify,
+    triples_map_isomorphic,
     wreath_to_perm,
 )
 
@@ -71,6 +72,58 @@ def reference_closure(gen_arrays, degree, cap):
                 fresh.append(row)
         frontier = np.stack(fresh) if fresh else np.empty((0, degree), dtype=np.int64)
     return np.stack(rows), seen
+
+
+def reference_orbit_stabilizer(generators, point, cap):
+    """(orbit length of ``point``, order of its stabilizer) by Schreier's
+    lemma with a full-degree transversal and its inverses: every Schreier
+    generator t_v * g * t_(v^g)^-1 is formed as an image array and tested
+    against the stabilizer listed so far, which starts as the closure of
+    the generators fixing ``point``; a non-member is added and the
+    stabilizer closed again.  Raises CapExceeded exactly when the group
+    has more than ``cap`` elements."""
+    degree = generators[0].degree
+    images = [g.images for g in generators]
+    lists = [g.tolist() for g in images]
+    seen = {point}
+    orbit = [point]
+    for v in orbit:
+        for g in lists:
+            if g[v] not in seen:
+                if len(orbit) == cap:
+                    raise CapExceeded(cap)
+                seen.add(g[v])
+                orbit.append(g[v])
+    stab_cap = cap // len(orbit)
+    stab_gens = [g.images for g in generators if g(point) == point]
+    try:
+        members = reference_closure(stab_gens, degree, stab_cap)[1]
+    except CapExceeded:
+        raise CapExceeded(cap) from None
+    trans = {point: np.arange(degree, dtype=np.int64)}
+    trans_inv = {}
+    for v in orbit:
+        for g, g_list in zip(images, lists):
+            w = g_list[v]
+            moved = g[trans[v]]
+            if w not in trans:
+                trans[w] = moved
+                continue
+            if w not in trans_inv:
+                trans_inv[w] = np.empty(degree, dtype=np.int64)
+                trans_inv[w][trans[w]] = np.arange(degree)
+            schreier = trans_inv[w][moved]
+            if schreier.tobytes() in members:
+                continue
+            # a proper overgroup has at least twice the order (Lagrange)
+            if 2 * len(members) > stab_cap:
+                raise CapExceeded(cap)
+            stab_gens.append(schreier)
+            try:
+                members = reference_closure(stab_gens, degree, stab_cap)[1]
+            except CapExceeded:
+                raise CapExceeded(cap) from None
+    return len(orbit), len(members)
 
 
 def test_closure_kernel_matches_the_row_by_row_reference():
@@ -325,40 +378,61 @@ def test_base_edge_orbit_matches_the_listed_group():
         assert pair_orbit_size(t) == closure_edge_orbit_size(matrix)
 
 
-# The neighbourhood walks against the generic Schreier walk: on every tuple
-# whose lam is an involution, with the clique filter off, the order walk
-# must raise-or-count like perms.orbit_stabilizer at the flag count, and
-# the orientability walk must agree with maps.is_orientable.  A completed
-# walk is all that classify checks before keeping a candidate, so each one
-# must also reach every vertex, have a base-edge orbit of target/4 pairs
-# and pass validate_admissible.  (1,3) is left out: its map group cannot
-# act faithfully on the 3 vertices.
+# The neighbourhood walks against the generic Schreier walk with a
+# full-degree transversal: on every tuple whose lam is an involution, with
+# the clique filter off, the order walk must raise-or-count like
+# reference_orbit_stabilizer at the flag count, and the orientability walk
+# must find the index of <R,L> that the reference counts.  A completed walk is all that classify checks before
+# keeping a candidate, so each one must also reach every vertex, have a
+# base-edge orbit of target/4 pairs and pass validate_admissible.  (1,3)
+# is left out: its map group cannot act faithfully on the 3 vertices.
 WALK_CELLS = [(d, n) for d in range(1, 5) for n in (3, 4, 6) if (d, n) != (1, 3)] + [(5, 4)]
+
+
+def lam_involutory_triples(d, n):
+    """The triple of every tuple of cell (d, n) whose lam is an
+    involution, the clique filter off."""
+    sigma0s = wreath._lam_involutory_sigma0s(wreath._sigma0_choices(n))
+    pools = [wreath._lam_involutory_picks(n, i == j) for i, j in wreath._slots(d)]
+    for params in wreath._candidates(d, n, sigma0s, pools):
+        yield canonical_triple(params)
 
 
 @pytest.mark.parametrize("d,n", WALK_CELLS)
 def test_neighbourhood_walks_match_the_generic_walk(d, n):
     target = 2 * d * (n - 1) * n**d
-    dihedral, rotations = wreath._neighbourhood_keys(canonical_r(d, n), canonical_tau(d, n), d, n)
-    sigma0s = wreath._lam_involutory_sigma0s(wreath._sigma0_choices(n))
-    pools = [wreath._lam_involutory_picks(n, i == j) for i, j in wreath._slots(d)]
     checked = 0
-    for params in wreath._candidates(d, n, sigma0s, pools):
-        t = canonical_triple(params)
-        orbit = wreath._neighbourhood_walk((t.lam, t.rho, t.tau), d, n, dihedral)
+    for t in lam_involutory_triples(d, n):
+        reason, inv = wreath._evaluate_candidate(t, d, n, target)
         try:
-            generic = orbit_stabilizer((t.lam, t.rho, t.tau), 0, target)
+            orbit, stab = reference_orbit_stabilizer((t.lam, t.rho, t.tau), 0, target)
         except CapExceeded:
-            assert orbit is None, t.lam
+            assert reason == "cap_exceeded", t.lam
         else:
-            assert (orbit, 2 * d * (n - 1)) == generic, t.lam
-            assert orbit == n**d, t.lam
+            assert reason in VALIDATED, t.lam
+            assert (orbit, stab) == (n**d, 2 * d * (n - 1)), t.lam
             assert pair_orbit_size(t) == target // 4, t.lam
             assert validate_admissible(t, target).ok, t.lam
-            orientable = wreath._neighbourhood_walk((t.R, t.L), d, n, rotations) is not None
-            assert orientable == is_orientable(t, target), t.lam
+            sub_orbit, sub_stab = reference_orbit_stabilizer((t.R, t.L), 0, target)
+            assert (reason == "orientable") == (2 * sub_orbit * sub_stab == target), t.lam
+            assert (inv is None) == (reason == "orientable"), t.lam
         checked += 1
     assert checked
+
+
+@pytest.mark.parametrize("d,n", WALK_CELLS)
+def test_no_two_completed_candidates_of_a_cell_are_isomorphic(d, n):
+    # classify deduplicates nothing: its docstring proves that two distinct
+    # candidates of a cell are never isomorphic maps; (3,6) and (4,6) have
+    # no completed candidate, and (1,4), (1,6), (2,3), (2,4) and (2,6) two
+    target = 2 * d * (n - 1) * n**d
+    completed = [
+        t for t in lam_involutory_triples(d, n)
+        if wreath._evaluate_candidate(t, d, n, target)[0] in VALIDATED
+    ]
+    graph = hamming(d, n)
+    for t1, t2 in itertools.combinations(completed, 2):
+        assert triples_map_isomorphic(t1, t2, graph) is None, (t1.lam, t2.lam)
 
 
 WREATH_CELLS = [(1, 4), (1, 5), (2, 3), (2, 4), (2, 5), (3, 3), (3, 4), (4, 3)]
@@ -375,9 +449,11 @@ def random_wreath_perm(rng, d, n, fixing0):
 
 
 def test_neighbourhood_walk_matches_the_generic_walk_on_random_wreath_groups():
-    # any subgroup of Aut H(d,n): the walk, checked against the closure of
-    # the generators that fix 0, completes exactly when those generators
-    # already generate the whole stabilizer, and then counts the orbit
+    # any subgroup of Aut H(d,n): the walk on N(0), checked against the
+    # closure of the generators that fix 0, completes exactly when those
+    # generators already generate the whole stabilizer, and then counts the
+    # orbit; orbit_stabilizer, the same walk over the whole domain, counts
+    # like the reference
     combinatorics = pytest.importorskip("sympy.combinatorics")
     rng = random.Random(53)
     outcomes = []
@@ -391,17 +467,20 @@ def test_neighbourhood_walk_matches_the_generic_walk_on_random_wreath_groups():
         place = {x: j for j, x in enumerate(nbrs)}
         seed = closure([g for g in gens if g(0) == 0] or [identity(n**d)], cap=10**6)
         members = frozenset(tuple(place[g(x)] for x in nbrs) for g in seed.elements)
-        walk = wreath._neighbourhood_walk(gens, d, n, members)
-        orbit, stab = orbit_stabilizer(gens, 0, cap=10**6)
-        assert (walk is not None) == (stab == seed.order)
-        if walk is not None:
+        walk = schreier_walk([g.images.tolist() for g in gens], 0, nbrs, members)
+        orbit, stab = reference_orbit_stabilizer(gens, 0, cap=10**6)
+        completed = not isinstance(walk, tuple)
+        assert completed == (stab == seed.order)
+        if completed:
             assert walk == orbit
+        else:
+            # a stabilizer element outside the seed, as a permutation of N(0)
+            assert sorted(walk) == list(range(len(nbrs))) and walk not in members
+        assert orbit_stabilizer(gens, 0, cap=10**6) == (orbit, stab)
         if n**d <= 64:
             group = combinatorics.PermutationGroup(
                 [combinatorics.Permutation(g.images.tolist()) for g in gens]
             )
             assert orbit * stab == group.order()
-            if walk is not None:
-                assert walk * seed.order == group.order()
-        outcomes.append(walk is not None)
+        outcomes.append(completed)
     assert True in outcomes and False in outcomes

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import regmaps
-from regmaps import cli, maps
+from regmaps import cli, maps, wreath
 from regmaps.cli import main
 from regmaps.maps import format_triple
 from regmaps.wreath import classify, records_from_json
@@ -104,6 +104,16 @@ def test_verify_theorem_budget_exits_3(capsys):
     code, out = run(capsys, "verify-theorem", "--max-d", "2", "--max-n", "4", "--budget", "50")
     assert code == 3
     assert "INCOMPLETE" in out
+
+
+def test_cell_past_the_degree_bound_exits_3(capsys, monkeypatch):
+    # the cells within the bound still run; the one past it is skipped
+    monkeypatch.setattr(wreath, "MAX_DEGREE", 10)
+    code, out = run(capsys, "verify-theorem", "--max-d", "2", "--max-n", "4")
+    assert code == 3
+    assert "  2  4         1      0  SKIP" in out and "INCOMPLETE" in out
+    assert main(["classify", "--d", "2", "--n", "4"]) == 3
+    assert "degree 4^2 exceeds the supported bound 10" in capsys.readouterr().err
 
 
 def test_output_file(tmp_path, capsys):

@@ -43,6 +43,13 @@ def test_perm_validation():
         Perm([])
 
 
+@pytest.mark.parametrize("images", [[0, 1.7, 2], [True, False], ["1", "0"]])
+def test_perm_refuses_non_integer_images(images):
+    # a cast would make the first the identity and the others a transposition
+    with pytest.raises(ValueError, match="images must be integers"):
+        Perm(images)
+
+
 def test_compose_identity():
     p = Perm([2, 0, 1])
     assert compose(identity(3), p) == p

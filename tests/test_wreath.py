@@ -308,7 +308,6 @@ def test_no_other_theta_gives_a_nonorientable_map(d, n):
     # whose triple is prechecked and run through the rest of the pipeline
     target = 2 * d * (n - 1) * n**d
     r, tau = canonical_r(d, n), canonical_tau(d, n)
-    keys = wreath._neighbourhood_keys(r, tau, d, n)
     reasons = []
     for theta in wreath._perms_with_prefix(d, (0,), involutory=True):
         if theta == beta_perm(d):
@@ -322,9 +321,7 @@ def test_no_other_theta_gives_a_nonorientable_map(d, n):
                     sigma[i], sigma[j] = pick, inverse(pick)
                 t = AdmissibleTriple(wreath_to_perm(sigma, theta) * tau, r * tau, tau)
                 if all(is_involution(g) for g in (t.lam, t.rho, t.tau)):
-                    reason, _ = wreath._evaluate_candidate(
-                        t, d, n, target, wreath.DEFAULT_WITNESS_LEN, keys
-                    )
+                    reason, _ = wreath._evaluate_candidate(t, d, n, target)
                     reasons.append(reason)
     assert reasons and "kept" not in reasons
 
@@ -338,23 +335,26 @@ def test_neighbourhood_facts_hold_on_every_cell(d):
     for n in range(3, 10):
         if n**d > MAX_DEGREE:
             continue
-        r, tau = canonical_r(d, n), canonical_tau(d, n)
         if (d, n) == (1, 3):
             with pytest.raises(RuntimeError, match="transitive"):
-                wreath._neighbourhood_keys(r, tau, d, n)
+                wreath._neighbourhood_keys(d, n)
             continue
         k = d * (n - 1)
-        dihedral, rotations = wreath._neighbourhood_keys(r, tau, d, n)
+        dihedral, rotations = wreath._neighbourhood_keys(d, n)
         assert len(dihedral) == 2 * k and len(rotations) == k
         assert rotations < dihedral
 
 
 def test_a_failing_neighbourhood_fact_stops_classify(monkeypatch):
     d, n = 3, 6
-    r, tau = canonical_r(d, n), canonical_tau(d, n)
+    r = canonical_r(d, n)
+    # the facts are cached per cell once they hold, and never when they fail
+    wreath._neighbourhood_keys.cache_clear()
     # <R, identity> has k elements, not 2k
-    with pytest.raises(RuntimeError, match=r"\|<rho,tau>\| != 30"):
-        wreath._neighbourhood_keys(r, identity(n**d), d, n)
+    with monkeypatch.context() as m:
+        m.setattr(wreath, "canonical_tau", lambda d, n: identity(n**d))
+        with pytest.raises(RuntimeError, match=r"\|<rho,tau>\| != 30"):
+            wreath._neighbourhood_keys(d, n)
     # R^3 is not transitive on the 15 neighbours; R^3 * tau is still an
     # involution, so the cell passes the precheck and reaches the check
     monkeypatch.setattr(wreath, "canonical_r", lambda d, n: r**3)
@@ -419,7 +419,7 @@ def test_clique_filter_is_decided_once_per_n(monkeypatch):
 def test_classify_validates_no_candidate_and_its_records_revalidate(monkeypatch):
     # a completed neighbourhood walk already proves every check of
     # validate_admissible, so classify never runs it; loading the records
-    # runs it once per record, on triples rebuilt from the stored sigma
+    # decides each rebuilt triple by the same walks, so it never runs either
     validated = []
     validate = maps.validate_admissible
 
@@ -432,7 +432,7 @@ def test_classify_validates_no_candidate_and_its_records_revalidate(monkeypatch)
     assert len(records) == 2
     assert validated == []
     assert records_from_json(records_to_json(records)) == records
-    assert len(validated) == len(records)
+    assert validated == []
 
 
 def test_classify_k3_special_cell():
@@ -617,8 +617,8 @@ def test_record_with_another_theta_is_rejected(d, n, theta):
 
 
 def test_revalidating_a_record_lists_no_group(monkeypatch):
-    # only the edge, vertex and face stabilizers are closed in full; the
-    # orders of the map group and of <R, L> come from Schreier counts
+    # the census's walks decide the record on the base vertex's neighbours,
+    # so no stabilizer of the map is closed, let alone its group
     fixture = ROOT / "perfbench" / "fixtures" / "census_reload.json"
     payload = [obj for obj in json.loads(fixture.read_text()) if (obj["d"], obj["n"]) == (4, 4)]
     caps = []
@@ -630,9 +630,40 @@ def test_revalidating_a_record_lists_no_group(monkeypatch):
     monkeypatch.setattr(maps, "closure", recording_closure)
     [rec] = records_from_json(json.dumps(payload))
     assert rec.invariants.group_order == 6144
-    p, q = rec.invariants.covalency, rec.invariants.valency
-    assert len(caps) == 3
-    assert max(caps) <= 4 * max(p, q)
+    assert caps == []
+
+
+@pytest.mark.parametrize("d,n", [(2, 4), (3, 4), (2, 6)])
+def test_a_record_the_census_would_not_keep_is_rejected(d, n):
+    # a kept record's sigma swapped for that of any other candidate of the
+    # cell: lam not an involution, a group past the flag count, or an
+    # orientable map; each is refused by the census's own decision
+    kept = {rec.sigma for rec in classify(d, n)}
+    [obj, *_] = json.loads(records_to_json(classify(d, n)))
+    refused = 0
+    for params in enumerate_sigma_candidates(d, n):
+        if params.sigma in kept:
+            continue
+        sigma = [s.images.tolist() for s in params.sigma]
+        with pytest.raises(ValueError, match="precheck|not a kept census map"):
+            records_from_json(json.dumps([{**obj, "sigma": sigma}]))
+        refused += 1
+    assert refused
+
+
+def test_a_cell_past_the_degree_bound_is_skipped_before_any_work(monkeypatch):
+    # the degree n^d is checked before the candidates are counted
+    monkeypatch.setattr(wreath, "MAX_DEGREE", 10)
+    with monkeypatch.context() as m:
+        m.setattr(wreath, "_sigma0_choices", lambda n: pytest.fail("candidates counted"))
+        with pytest.raises(BudgetExceeded, match=r"degree 4\^2 exceeds the supported bound 10"):
+            classify(2, 4)
+        # a huge d is refused without computing n^d
+        with pytest.raises(BudgetExceeded, match=r"degree 3\^1000000000 exceeds"):
+            classify(10**9, 3)
+    report = verify_theorem(2, 4)
+    assert [(c.d, c.n) for c in report.cells if c.skipped] == [(2, 4)]
+    assert not report.complete
 
 
 def test_expected_count_table():
