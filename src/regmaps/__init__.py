@@ -45,7 +45,6 @@ from .perms import (
 from .pgl29 import pgl_closure, pgl_triple, verify_construction
 from .wreath import (
     BudgetExceeded,
-    CanonicalTripleParams,
     MapRecord,
     TheoremReport,
     canonical_triple,

@@ -30,6 +30,7 @@ from .pgl29 import verify_construction
 from .wreath import (
     BudgetExceeded,
     DEFAULT_WITNESS_LEN,
+    DegreeBoundExceeded,
     classify,
     records_to_json,
     verify_theorem,
@@ -65,10 +66,6 @@ def _emit(text: str, output: Optional[str]) -> None:
         Path(output).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
-
-
-def _type_str(p: int, q: int, r: int) -> str:
-    return f"{{{p},{q}}}_{r}"
 
 
 def cmd_classify(args) -> int:
@@ -177,7 +174,7 @@ def cmd_verify_theorem(args) -> int:
                     "expected": c.expected,
                     "found": c.found,
                     "passed": c.passed,
-                    "skipped": c.skipped,
+                    "skipped": None if c.skipped is None else str(c.skipped),
                     "types": [r.invariants.type_string for r in c.records],
                 }
                 for c in report.cells
@@ -195,9 +192,11 @@ def cmd_verify_theorem(args) -> int:
             types = ", ".join(r.invariants.type_string for r in c.records)
             lines.append(f"  {c.d}  {c.n}  {c.expected:8d}  {c.found:5d}  {status:6s}  {types}")
         lines.append(f"fixed (2,2) construction: {'pass' if report.fixed_22.ok else 'FAIL'}")
+        reasons = sorted({"degree bound" if isinstance(c.skipped, DegreeBoundExceeded)
+                          else "budget" for c in report.cells if c.skipped})
         lines.append(
             "all cells verified" if report.ok
-            else ("INCOMPLETE (budget)" if not report.complete else "MISMATCH")
+            else (f"INCOMPLETE ({', '.join(reasons)})" if reasons else "MISMATCH")
         )
         _emit("\n".join(lines) + "\n", args.output)
     if not report.complete:

@@ -183,11 +183,11 @@ def verify_construction(classify_records=None) -> VerificationReport:
     )
     check("generator_word_orders_10_10_8", orders == (10, 10, 8), f"orders={orders}")
 
-    report = validate_admissible(t, cap=1000)
+    report = validate_admissible(t, cap=PGL_ORDER)
     check("triple_validates", report.ok and report.group_order == 720,
           f"order={report.group_order}")
 
-    inv = invariants(t, cap=1000)
+    inv = invariants(t, cap=PGL_ORDER)
     check("type_10_10_8", inv.type_triple == (10, 10, 8), inv.type_string)
     check("chi_minus_108", inv.chi == -108, f"chi={inv.chi}")
     check("genus_110", inv.genus == 110, f"genus={inv.genus}")
@@ -195,7 +195,7 @@ def verify_construction(classify_records=None) -> VerificationReport:
     check("faces_36", inv.faces == 36, f"F={inv.faces}")
 
     dual = petrie_dual(t)
-    dinv = invariants(dual, cap=1000)
+    dinv = invariants(dual, cap=PGL_ORDER)
     check("dual_type_8_10_10", dinv.type_triple == (8, 10, 10), dinv.type_string)
     check("dual_chi_minus_99", dinv.chi == -99, f"chi={dinv.chi}")
     check("dual_genus_101", dinv.genus == 101, f"genus={dinv.genus}")
@@ -203,7 +203,7 @@ def verify_construction(classify_records=None) -> VerificationReport:
     check("dual_faces_45", dinv.faces == 45, f"F={dinv.faces}")
 
     try:
-        graph = coset_graph(t, cap=1000)
+        graph = coset_graph(t, cap=PGL_ORDER)
         check("coset_graph_simple", True, "")
         check("coset_graph_36_vertices", graph.n == 36, f"n={graph.n}")
         check(

@@ -15,7 +15,9 @@ faithfully on the base vertex's k = d(n-1) neighbours N(0), so its group
 order and orientability are decided by ``perms.schreier_walk`` with N(0)
 as the base: each Schreier generator is tested on those k points alone.
 A completed order walk also proves the triple valid, so no candidate is
-validated; a census record read back from JSON is decided the same way.
+validated; a census record read back from JSON is decided the same way,
+once its sigma passes the shape checks that enumerated tuples meet by
+construction.  The data a cell's walks share is built once per cell.
 """
 
 from __future__ import annotations
@@ -57,15 +59,14 @@ from .perms import (
 
 __all__ = [
     "BudgetExceeded",
-    "CanonicalTripleParams",
     "CellResult",
     "CellStats",
+    "DegreeBoundExceeded",
     "FixedCellResult",
     "MapRecord",
     "TheoremReport",
     "alpha_perm",
     "beta_perm",
-    "canonical_l",
     "canonical_r",
     "canonical_tau",
     "canonical_triple",
@@ -90,6 +91,10 @@ DEFAULT_WITNESS_LEN = 6
 
 class BudgetExceeded(Exception):
     """A census cell is larger than the configured search budget."""
+
+
+class DegreeBoundExceeded(BudgetExceeded):
+    """A census cell's degree n^d is past ``perms.MAX_DEGREE``."""
 
 
 # ---------------------------------------------------------------------------
@@ -148,29 +153,21 @@ def tau_seed_perm(n: int) -> Perm:
     return Perm([k if k < 2 else (n + 1 - k) % n for k in range(n)])
 
 
-@dataclass(frozen=True)
-class CanonicalTripleParams:
-    """Parameters (sigma_0..sigma_{d-1}) of a canonical triple with
-    theta = beta_d, so that sigma_{d-i} is the inverse of sigma_i."""
-
-    d: int
-    n: int
-    sigma: tuple[Perm, ...]
-
-    def __post_init__(self):
-        d, n = self.d, self.n
-        if d < 1 or n < 3:
-            raise ValueError("requires d >= 1 and n >= 3")
-        if len(self.sigma) != d or any(s.degree != n for s in self.sigma):
-            raise ValueError("sigma must hold d permutations of [n]")
-        s0 = self.sigma[0]
-        if s0(0) != 1 or s0(1) != 0:
-            raise ValueError("sigma_0 must transpose 0 and 1")
-        for i in range(1, d):
-            if self.sigma[i](0) != 0:
-                raise ValueError(f"sigma_{i} must fix 0")
-            if not (self.sigma[i] * self.sigma[d - i]).is_identity():
-                raise ValueError(f"sigma_{i} * sigma_{d - i} must be the identity")
+def _check_sigma(d: int, n: int, sigma: Sequence[Perm]) -> None:
+    """Raise ValueError unless sigma = (sigma_0..sigma_{d-1}) gives a canonical
+    triple of H(d,n): sigma_0 transposes 0 and 1, and each other sigma_i fixes 0
+    with sigma_{d-i} its inverse.  Enumerated tuples meet this by construction."""
+    if d < 1 or n < 3:
+        raise ValueError("requires d >= 1 and n >= 3")
+    if len(sigma) != d or any(s.degree != n for s in sigma):
+        raise ValueError("sigma must hold d permutations of [n]")
+    if sigma[0](0) != 1 or sigma[0](1) != 0:
+        raise ValueError("sigma_0 must transpose 0 and 1")
+    for i in range(1, d):
+        if sigma[i](0) != 0:
+            raise ValueError(f"sigma_{i} must fix 0")
+        if not (sigma[i] * sigma[d - i]).is_identity():
+            raise ValueError(f"sigma_{i} * sigma_{d - i} must be the identity")
 
 
 @lru_cache(maxsize=None)
@@ -187,16 +184,13 @@ def canonical_r(d: int, n: int) -> Perm:
     return wreath_to_perm(base, alpha_perm(d))
 
 
-def canonical_l(params: CanonicalTripleParams) -> Perm:
-    """L = (sigma_0, ..., sigma_{d-1}) * beta_d."""
-    return wreath_to_perm(params.sigma, beta_perm(params.d))
-
-
-def canonical_triple(params: CanonicalTripleParams) -> AdmissibleTriple:
-    """The triple (L*tau, R*tau, tau) acting on the n^d vertex indices."""
-    tau = canonical_tau(params.d, params.n)
-    lam = canonical_l(params) * tau
-    rho = canonical_r(params.d, params.n) * tau
+def canonical_triple(sigma: tuple[Perm, ...]) -> AdmissibleTriple:
+    """The triple (L*tau, R*tau, tau) on the n^d vertex indices, where L =
+    (sigma_0, ..., sigma_{d-1}) * beta_d, d = len(sigma), n = sigma_0's degree."""
+    d, n = len(sigma), sigma[0].degree
+    tau = canonical_tau(d, n)
+    lam = wreath_to_perm(sigma, beta_perm(d)) * tau
+    rho = canonical_r(d, n) * tau
     return AdmissibleTriple(lam, rho, tau)
 
 
@@ -249,32 +243,28 @@ def _slots(d: int) -> tuple[tuple[int, int], ...]:
     return tuple((i, d - i) for i in range(1, d // 2 + 1))
 
 
-def _candidates(d: int, n: int, sigma0s, pools) -> Iterator[CanonicalTripleParams]:
-    """Stream the parameter tuples of the given sigma_0 choices, with the
+def _candidates(d: int, sigma0s, pools) -> Iterator[tuple[Perm, ...]]:
+    """Stream the sigma tuples of the given sigma_0 choices, with the
     sigma_i of slot k of ``_slots(d)`` drawn from ``pools[k]``, in
-    lexicographic order; nothing is built before it is asked for."""
+    lexicographic order; nothing is built before it is asked for.  The
+    tuples meet ``_check_sigma`` by construction and are not checked."""
     slots = _slots(d)
     for sigma0 in sigma0s:
         for picks in itertools.product(*pools):
-            sigma: list[Optional[Perm]] = [None] * d
-            sigma[0] = sigma0
+            sigma = [sigma0] * d  # the slots then cover positions 1..d-1
             for (i, j), pick in zip(slots, picks):
                 sigma[i] = pick
                 sigma[j] = inverse(pick)
-            # the pools meet every condition of __post_init__ by
-            # construction, so the tuple is built without re-checking
-            params = CanonicalTripleParams.__new__(CanonicalTripleParams)
-            params.__dict__.update(d=d, n=n, sigma=tuple(sigma))
-            yield params
+            yield tuple(sigma)
 
 
-def enumerate_sigma_candidates(d: int, n: int) -> Iterator[CanonicalTripleParams]:
-    """All parameter tuples with theta = beta_d, the only shape a
+def enumerate_sigma_candidates(d: int, n: int) -> Iterator[tuple[Perm, ...]]:
+    """All sigma tuples with theta = beta_d, the only shape a
     nonorientable triple can take, in deterministic lexicographic order."""
     if d < 1 or n < 3:
         raise ValueError("requires d >= 1 and n >= 3")
     pools = [_fixing0_choices(n, i == j) for i, j in _slots(d)]
-    yield from _candidates(d, n, _sigma0_choices(n), pools)
+    yield from _candidates(d, _sigma0_choices(n), pools)
 
 
 # ---------------------------------------------------------------------------
@@ -310,12 +300,6 @@ class MapRecord:
     witness: Optional[tuple[int, ...]]
     census_note: Optional[str] = None
 
-    def params(self) -> Optional[CanonicalTripleParams]:
-        """Canonical parameters, or None for the special (1,3) record."""
-        if (self.d, self.n) == (1, 3):
-            return None
-        return CanonicalTripleParams(self.d, self.n, self.sigma)
-
     def triple(self) -> AdmissibleTriple:
         """Rebuild the working triple.
 
@@ -326,7 +310,7 @@ class MapRecord:
         """
         if (self.d, self.n) == (1, 3):
             return antipodal_cycle_triple(3)
-        return canonical_triple(self.params())
+        return canonical_triple(self.sigma)
 
 
 def record_to_dict(rec: MapRecord) -> dict:
@@ -421,6 +405,7 @@ def _revalidate_record(rec: MapRecord) -> None:
     cell = (rec.d, rec.n)
     if cell == (1, 3) and rec.sigma != K3_SIGMA:
         raise ValueError("the (1,3) record carries a fixed sigma")
+    _check_sigma(rec.d, rec.n, rec.sigma)
     t = rec.triple()
     expected_order = 2 * rec.d * (rec.n - 1) * rec.n**rec.d
     if rec.invariants.group_order != expected_order:
@@ -522,15 +507,11 @@ def _rho_tau_involutory(d: int, n: int) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _neighbourhood(d: int, n: int) -> tuple[int, ...]:
-    """N(0) = {a * n^i}: the k = d(n-1) neighbours of the base vertex."""
-    return tuple(a * n**i for i in range(d) for a in range(1, n))
-
-
-@lru_cache(maxsize=None)
-def _neighbourhood_keys(d: int, n: int) -> tuple[frozenset, frozenset]:
-    """The actions on N(0) of the cell's <rho,tau> = <R,tau> and <R>, each
-    as the set of its elements' position tuples over ``_neighbourhood``.
+def _cell_walk_data(d: int, n: int):
+    """What the walks of the cell's candidates share: N(0) = {a * n^i},
+    the k = d(n-1) neighbours of the base vertex; the actions on N(0) of
+    <rho,tau> = <R,tau> and of <R>, each as the set of its elements'
+    position tuples over N(0); and the image lists of rho, tau and R.
 
     Raises RuntimeError unless R is transitive on N(0) and |<R,tau>| = 2k,
     the two facts, true by construction, that make the walks of
@@ -538,7 +519,7 @@ def _neighbourhood_keys(d: int, n: int) -> tuple[frozenset, frozenset]:
     an element that moves 0 into N(0) is transitive on the vertices of
     the connected graph, so its order is n^d times its stabilizer's.
     """
-    nbrs = _neighbourhood(d, n)
+    nbrs = tuple(a * n**i for i in range(d) for a in range(1, n))
     k = len(nbrs)
     place = dict(zip(nbrs, range(k)))
     r, tau = canonical_r(d, n), canonical_tau(d, n)
@@ -553,19 +534,13 @@ def _neighbourhood_keys(d: int, n: int) -> tuple[frozenset, frozenset]:
         raise RuntimeError(
             f"cell ({d},{n}): R is not transitive on N(0) or |<rho,tau>| != {2 * k}"
         )
-    return frozenset(tuple(e.images.tolist()) for e in dihedral), rotations
-
-
-@lru_cache(maxsize=None)
-def _shared_images(d: int, n: int) -> tuple[list[int], list[int], list[int]]:
-    """The image lists of rho, tau and R, shared by the cell's candidates."""
-    tau, r = canonical_tau(d, n), canonical_r(d, n)
-    return (r * tau).images.tolist(), tau.images.tolist(), r.images.tolist()
+    dihedral_keys = frozenset(tuple(e.images.tolist()) for e in dihedral)
+    return (nbrs, dihedral_keys, rotations, *(p.images.tolist() for p in (r * tau, tau, r)))
 
 
 def _evaluate_candidate(t: AdmissibleTriple, d: int, n: int, target: int):
     """Decide the triple of a candidate of cell (d, n) that passed the
-    involution precheck; its rho and tau are the cell's (``_shared_images``).
+    involution precheck; its rho and tau are the cell's (``_cell_walk_data``).
 
     Returns (reason, invariants) where reason is "cap_exceeded",
     "orientable" or "kept", and invariants is None unless it is kept.
@@ -587,9 +562,7 @@ def _evaluate_candidate(t: AdmissibleTriple, d: int, n: int, target: int):
         involutions, so it is dihedral of order 2p; and 4, 2q and 2p
         divide |G| by Lagrange.
     """
-    nbrs = _neighbourhood(d, n)
-    dihedral, rotations = _neighbourhood_keys(d, n)
-    rho, tau, r = _shared_images(d, n)
+    nbrs, dihedral, rotations, rho, tau, r = _cell_walk_data(d, n)
     # G is vertex-transitive (lam moves 0 to 1), so a Schreier generator
     # outside <rho,tau>, of order 2k, means |G| >= 2 * n^d * 2k > target;
     # if there is none, the stabilizer is <rho,tau>
@@ -622,12 +595,13 @@ def classify(
 ) -> list[MapRecord]:
     """All nonorientable regular embeddings of H(d,n), as census records.
 
-    Candidates are the canonical parameter tuples with theta = beta_d.
+    Candidates are the canonical sigma tuples with theta = beta_d.
     The degree n^d is checked against ``perms.MAX_DEGREE``, and the
     candidates, counted from the sizes of their parameter pools, against
-    ``budget``, before any is built; either raises BudgetExceeded.  The
-    clique filter depends on sigma_0 alone, so it is applied to the
-    sigma_0 choices.  The involution precheck on lam = L*tau splits into
+    ``budget``, before any is built; either raises BudgetExceeded (the
+    first as its subclass DegreeBoundExceeded).  The clique filter
+    depends on sigma_0 alone, so it is applied to the sigma_0 choices.
+    The involution precheck on lam = L*tau splits into
     one test per parameter, so it is applied to the sigma_0 choices and
     to each slot's pool, and the tuples failing it are counted, not
     built; rho and tau are shared by the cell and checked once (if they
@@ -653,7 +627,7 @@ def classify(
         stats = CellStats()
     # n^b > MAX_DEGREE for its bit length b, so clipping d at b is exact and cheap
     if n ** min(d, MAX_DEGREE.bit_length()) > MAX_DEGREE:
-        raise BudgetExceeded(f"degree {n}^{d} exceeds the supported bound {MAX_DEGREE}")
+        raise DegreeBoundExceeded(f"degree {n}^{d} exceeds the supported bound {MAX_DEGREE}")
     if (d, n) == (1, 3):
         stats.candidates = 1
         stats.kept = 1
@@ -683,11 +657,11 @@ def classify(
     passing = len(sigma0s) * math.prod(len(pool) for pool in pools)
     stats.precheck_rejected += len(fitting) * per_sigma0 - passing
     if passing:
-        _neighbourhood_keys(d, n)  # the cell's facts, checked before any build
+        _cell_walk_data(d, n)  # the cell's facts, checked before any build
 
     records: list[MapRecord] = []
-    for params in _candidates(d, n, sigma0s, pools):
-        t = canonical_triple(params)
+    for sigma in _candidates(d, sigma0s, pools):
+        t = canonical_triple(sigma)
         reason, inv = _evaluate_candidate(t, d, n, target)
         if reason != "kept":
             setattr(stats, reason, getattr(stats, reason) + 1)
@@ -695,7 +669,7 @@ def classify(
         wit = nonorientability_witness(t, max_witness_len)
         wit = tuple(wit) if wit is not None else None
         note = CENSUS_NOTES.get((d, n) + inv.type_triple)
-        records.append(MapRecord(d, n, params.sigma, inv, wit, note))
+        records.append(MapRecord(d, n, sigma, inv, wit, note))
     stats.kept = len(records)
     records.sort(
         key=lambda r: (
@@ -866,7 +840,7 @@ class CellResult:
     expected: int
     records: tuple[MapRecord, ...]
     stats: CellStats
-    skipped: Optional[str] = None
+    skipped: Optional[BudgetExceeded] = None  # what classify raised
 
     @property
     def found(self) -> int:
@@ -950,6 +924,6 @@ def verify_theorem(
                     )
                 )
             except BudgetExceeded as exc:
-                skipped = str(exc)
+                skipped = exc
             cells.append(CellResult(d, n, expected_count(d, n), records, stats, skipped))
     return TheoremReport(max_d, max_n, tuple(cells), _verify_fixed_22())

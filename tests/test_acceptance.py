@@ -22,7 +22,6 @@ from regmaps.maps import (
 from regmaps.perms import Perm, element_order, evaluate_word, identity
 from regmaps.pgl29 import verify_construction
 from regmaps.wreath import (
-    CanonicalTripleParams,
     canonical_triple,
     maps_isomorphic,
     regular_vertex_subgroup,
@@ -199,9 +198,7 @@ def test_criterion_7_property_suites(census):
             failures.append(f"(c) {rec.d},{rec.n}: witness/index disagree")
         elif evaluate_word(t.L, t.R, wit) != t.tau:
             failures.append(f"(c) {rec.d},{rec.n}: witness does not evaluate to tau")
-    orientable_triple = canonical_triple(
-        CanonicalTripleParams(2, 3, (Perm([1, 0, 2]), Perm([0, 2, 1])))
-    )
+    orientable_triple = canonical_triple((Perm([1, 0, 2]), Perm([0, 2, 1])))
     if not is_orientable(orientable_triple) or nonorientability_witness(
         orientable_triple, max_len=6
     ) is not None:

@@ -39,7 +39,6 @@ from regmaps.perms import (
     schreier_walk,
 )
 from regmaps.wreath import (
-    CanonicalTripleParams,
     CellStats,
     canonical_triple,
     classify,
@@ -264,8 +263,8 @@ def test_fast_verdicts_and_stats_match_the_closure_oracle(d, n, monkeypatch):
 
 
 def built_survivors(d, n, sigma0s):
-    """The tuples of the given sigma_0 choices, in lexicographic order,
-    each built through every check."""
+    """The sigma tuples of the given sigma_0 choices, in lexicographic
+    order, each passing every shape check."""
     slots = wreath._slots(d)
     pools = [wreath._fixing0_choices(n, i == j) for i, j in slots]
     for sigma0 in sigma0s:
@@ -273,7 +272,8 @@ def built_survivors(d, n, sigma0s):
             sigma = [sigma0] + [None] * (d - 1)
             for (i, j), pick in zip(slots, picks):
                 sigma[i], sigma[j] = pick, inverse(pick)
-            yield CanonicalTripleParams(d, n, tuple(sigma))
+            wreath._check_sigma(d, n, sigma)
+            yield tuple(sigma)
 
 
 # every fitting sigma_0 of n <= 9 passes the precheck, so the sigma_0 half
@@ -293,8 +293,8 @@ def test_counted_precheck_matches_the_built_precheck(d, n, clique_filter, monkey
     sigma0s = wreath._fitting_sigma0s(n)
     survivors = list(built_survivors(d, n, sigma0s))
     passing = []
-    for params in survivors:
-        t = canonical_triple(params)
+    for sigma in survivors:
+        t = canonical_triple(sigma)
         if all(is_involution(g) for g in (t.lam, t.rho, t.tau)):
             passing.append(t.lam)
 
@@ -322,9 +322,9 @@ def counting_builds(monkeypatch):
     built = []
     build = wreath.canonical_triple
 
-    def counting_build(params):
-        built.append(params)
-        return build(params)
+    def counting_build(sigma):
+        built.append(sigma)
+        return build(sigma)
 
     monkeypatch.setattr(wreath, "canonical_triple", counting_build)
     return built
@@ -394,8 +394,8 @@ def lam_involutory_triples(d, n):
     involution, the clique filter off."""
     sigma0s = wreath._lam_involutory_sigma0s(wreath._sigma0_choices(n))
     pools = [wreath._lam_involutory_picks(n, i == j) for i, j in wreath._slots(d)]
-    for params in wreath._candidates(d, n, sigma0s, pools):
-        yield canonical_triple(params)
+    for sigma in wreath._candidates(d, sigma0s, pools):
+        yield canonical_triple(sigma)
 
 
 @pytest.mark.parametrize("d,n", WALK_CELLS)
@@ -463,7 +463,7 @@ def test_neighbourhood_walk_matches_the_generic_walk_on_random_wreath_groups():
             random_wreath_perm(rng, d, n, fixing0=rng.random() < 0.5)
             for _ in range(rng.randint(1, 3))
         ]
-        nbrs = wreath._neighbourhood(d, n)
+        nbrs = wreath._cell_walk_data(d, n)[0]
         place = {x: j for j, x in enumerate(nbrs)}
         seed = closure([g for g in gens if g(0) == 0] or [identity(n**d)], cap=10**6)
         members = frozenset(tuple(place[g(x)] for x in nbrs) for g in seed.elements)

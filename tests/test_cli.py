@@ -103,7 +103,7 @@ def test_verify_theorem_small(capsys):
 def test_verify_theorem_budget_exits_3(capsys):
     code, out = run(capsys, "verify-theorem", "--max-d", "2", "--max-n", "4", "--budget", "50")
     assert code == 3
-    assert "INCOMPLETE" in out
+    assert "INCOMPLETE (budget)" in out
 
 
 def test_cell_past_the_degree_bound_exits_3(capsys, monkeypatch):
@@ -111,7 +111,11 @@ def test_cell_past_the_degree_bound_exits_3(capsys, monkeypatch):
     monkeypatch.setattr(wreath, "MAX_DEGREE", 10)
     code, out = run(capsys, "verify-theorem", "--max-d", "2", "--max-n", "4")
     assert code == 3
-    assert "  2  4         1      0  SKIP" in out and "INCOMPLETE" in out
+    assert "  2  4         1      0  SKIP" in out and "INCOMPLETE (degree bound)" in out
+    # (2,3) is over the budget and (2,4) past the degree bound: both named
+    code, out = run(capsys, "verify-theorem", "--max-d", "2", "--max-n", "4", "--budget", "50")
+    assert code == 3
+    assert "INCOMPLETE (budget, degree bound)" in out
     assert main(["classify", "--d", "2", "--n", "4"]) == 3
     assert "degree 4^2 exceeds the supported bound 10" in capsys.readouterr().err
 

@@ -18,7 +18,7 @@ from regmaps.maps import (
     validate_admissible,
 )
 from regmaps.perms import Perm, evaluate_word, identity
-from regmaps.wreath import CanonicalTripleParams, canonical_triple
+from regmaps.wreath import canonical_triple
 
 
 @pytest.fixture(scope="module")
@@ -28,14 +28,12 @@ def octagon():
 
 @pytest.fixture(scope="module")
 def h23_nonorientable():
-    params = CanonicalTripleParams(2, 3, (Perm([1, 0, 2]), identity(3)))
-    return canonical_triple(params)
+    return canonical_triple((Perm([1, 0, 2]), identity(3)))
 
 
 @pytest.fixture(scope="module")
 def h23_orientable():
-    params = CanonicalTripleParams(2, 3, (Perm([1, 0, 2]), Perm([0, 2, 1])))
-    return canonical_triple(params)
+    return canonical_triple((Perm([1, 0, 2]), Perm([0, 2, 1])))
 
 
 def test_octagon_validates(octagon):

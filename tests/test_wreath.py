@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -21,12 +22,10 @@ from regmaps.perms import (
 )
 from regmaps.wreath import (
     BudgetExceeded,
-    CanonicalTripleParams,
     CellStats,
     MapRecord,
     alpha_perm,
     beta_perm,
-    canonical_l,
     canonical_r,
     canonical_tau,
     canonical_triple,
@@ -158,11 +157,11 @@ def test_canonical_r_shifts_unit_vectors():
 
 def test_params_validation():
     with pytest.raises(ValueError):
-        CanonicalTripleParams(2, 3, (identity(3), identity(3)))
+        wreath._check_sigma(2, 3, (identity(3), identity(3)))
     with pytest.raises(ValueError):
-        CanonicalTripleParams(2, 3, (Perm([1, 0, 2]), Perm([1, 0, 2])))
+        wreath._check_sigma(2, 3, (Perm([1, 0, 2]), Perm([1, 0, 2])))
     with pytest.raises(ValueError):
-        CanonicalTripleParams(3, 4, (Perm([1, 0, 2, 3]), gamma_perm(4), gamma_perm(4)))
+        wreath._check_sigma(3, 4, (Perm([1, 0, 2, 3]), gamma_perm(4), gamma_perm(4)))
 
 
 def count_involutions_transposing_01(n):
@@ -202,24 +201,24 @@ def test_enumerate_counts_d3():
     candidates = list(enumerate_sigma_candidates(3, 6))
     assert len(candidates) == 10 * 120
     sample = candidates[17]
-    assert sample.sigma[2] == inverse(sample.sigma[1])
+    assert sample[2] == inverse(sample[1])
 
 
 def test_enumerate_deterministic():
-    first = [c.sigma for c in enumerate_sigma_candidates(2, 4)]
-    second = [c.sigma for c in enumerate_sigma_candidates(2, 4)]
+    first = list(enumerate_sigma_candidates(2, 4))
+    second = list(enumerate_sigma_candidates(2, 4))
     assert first == second
 
 
 @pytest.mark.parametrize("d,n", [(3, 6), (4, 4), (5, 3)])
 def test_streamed_tuples_pass_the_checks_they_skip(d, n):
-    # streamed tuples are built without __post_init__; every one of them
-    # passes it when rebuilt through the checks, and they come in strictly
-    # increasing lexicographic order of sigma
+    # streamed tuples are not shape-checked; every one of them passes the
+    # check a record's sigma gets, and they come in strictly increasing
+    # lexicographic order
     keys = []
-    for params in enumerate_sigma_candidates(d, n):
-        assert CanonicalTripleParams(d, n, params.sigma) == params
-        keys.append(tuple(tuple(int(x) for x in s.images) for s in params.sigma))
+    for sigma in enumerate_sigma_candidates(d, n):
+        wreath._check_sigma(d, n, sigma)
+        keys.append(tuple(tuple(int(x) for x in s.images) for s in sigma))
     assert all(a < b for a, b in zip(keys, keys[1:]))
 
 
@@ -238,22 +237,18 @@ def test_wreath_to_perm_rejects_misshapen_elements():
 
 def test_canonical_closure_order_h26():
     # sigma_0 = (0 1)(3 4), sigma_1 = (1 4)(2 5)
-    params = CanonicalTripleParams(2, 6, (Perm([1, 0, 2, 4, 3, 5]), Perm([0, 4, 5, 3, 1, 2])))
-    t = canonical_triple(params)
+    t = canonical_triple((Perm([1, 0, 2, 4, 3, 5]), Perm([0, 4, 5, 3, 1, 2])))
     assert t.group(cap=720).order == 720
 
 
 def test_tau_in_rotation_subgroup_for_nonorientable_h23():
-    params = CanonicalTripleParams(2, 3, (Perm([1, 0, 2]), identity(3)))
-    t = canonical_triple(params)
+    t = canonical_triple((Perm([1, 0, 2]), identity(3)))
     sub = closure([t.R, t.L], cap=100)
     assert contains(sub, t.tau)
 
 
 def test_subgroup_index_orientable_vs_not():
-    orientable = canonical_triple(
-        CanonicalTripleParams(2, 3, (Perm([1, 0, 2]), Perm([0, 2, 1])))
-    )
+    orientable = canonical_triple((Perm([1, 0, 2]), Perm([0, 2, 1])))
     group = orientable.group(cap=100)
     assert subgroup_index(group, [orientable.R, orientable.L]) == 2
 
@@ -337,10 +332,10 @@ def test_neighbourhood_facts_hold_on_every_cell(d):
             continue
         if (d, n) == (1, 3):
             with pytest.raises(RuntimeError, match="transitive"):
-                wreath._neighbourhood_keys(d, n)
+                wreath._cell_walk_data(d, n)
             continue
         k = d * (n - 1)
-        dihedral, rotations = wreath._neighbourhood_keys(d, n)
+        _, dihedral, rotations, *_ = wreath._cell_walk_data(d, n)
         assert len(dihedral) == 2 * k and len(rotations) == k
         assert rotations < dihedral
 
@@ -349,16 +344,16 @@ def test_a_failing_neighbourhood_fact_stops_classify(monkeypatch):
     d, n = 3, 6
     r = canonical_r(d, n)
     # the facts are cached per cell once they hold, and never when they fail
-    wreath._neighbourhood_keys.cache_clear()
+    wreath._cell_walk_data.cache_clear()
     # <R, identity> has k elements, not 2k
     with monkeypatch.context() as m:
         m.setattr(wreath, "canonical_tau", lambda d, n: identity(n**d))
         with pytest.raises(RuntimeError, match=r"\|<rho,tau>\| != 30"):
-            wreath._neighbourhood_keys(d, n)
+            wreath._cell_walk_data(d, n)
     # R^3 is not transitive on the 15 neighbours; R^3 * tau is still an
     # involution, so the cell passes the precheck and reaches the check
     monkeypatch.setattr(wreath, "canonical_r", lambda d, n: r**3)
-    monkeypatch.setattr(wreath, "canonical_triple", lambda params: pytest.fail("built"))
+    monkeypatch.setattr(wreath, "canonical_triple", lambda sigma: pytest.fail("built"))
     with pytest.raises(RuntimeError, match="not transitive"):
         classify(d, n)
 
@@ -641,14 +636,32 @@ def test_a_record_the_census_would_not_keep_is_rejected(d, n):
     kept = {rec.sigma for rec in classify(d, n)}
     [obj, *_] = json.loads(records_to_json(classify(d, n)))
     refused = 0
-    for params in enumerate_sigma_candidates(d, n):
-        if params.sigma in kept:
+    for candidate in enumerate_sigma_candidates(d, n):
+        if candidate in kept:
             continue
-        sigma = [s.images.tolist() for s in params.sigma]
+        sigma = [s.images.tolist() for s in candidate]
         with pytest.raises(ValueError, match="precheck|not a kept census map"):
             records_from_json(json.dumps([{**obj, "sigma": sigma}]))
         refused += 1
     assert refused
+
+
+@pytest.mark.parametrize(
+    "sigma,message",
+    [
+        ([[0, 1, 2, 3], [0, 3, 2, 1]], "sigma_0 must transpose 0 and 1"),
+        ([[1, 0, 2, 3], [0, 2, 3, 1]], "sigma_1 * sigma_1 must be the identity"),
+        ([[1, 0, 2, 3]], "sigma must hold d permutations of [n]"),
+        ([[1, 0, 2, 3], [0, 3, 2, 1], [0, 3, 2, 1]], "sigma must hold d permutations of [n]"),
+    ],
+    ids=["sigma0-fixes-0", "sigma1-not-self-inverse", "one-short", "one-over"],
+)
+def test_a_record_whose_sigma_breaks_the_shape_is_refused(sigma, message):
+    # the (2,4) record with its sigma replaced: sigma_0 fixing 0, sigma_1
+    # a 3-cycle that is not its own inverse, one entry short or one over
+    [obj] = json.loads(records_to_json(classify(2, 4)))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        records_from_json(json.dumps([{**obj, "sigma": sigma}]))
 
 
 def test_a_cell_past_the_degree_bound_is_skipped_before_any_work(monkeypatch):
